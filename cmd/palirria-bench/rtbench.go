@@ -53,13 +53,6 @@ type wsrtBenchReport struct {
 	// Submit, one tier per producer count. The CI gate compares tiers
 	// against the committed baseline and fails on a >2x throughput drop.
 	SubmitThroughput []submitThroughputTier `json:"submit_throughput"`
-	// LocalitySteal is the locality-vs-flat A/B pair: the same steal-heavy
-	// workload run once under a synthetic two-node locality map and once
-	// under the explicit flat map (the pre-locality scheduling). The
-	// locality tier's LocalShare shows how much of the steal traffic the
-	// node-local-first ordering keeps on-node; the flat tier doubles as
-	// the regression reference proving locality stays opt-in-safe.
-	LocalitySteal []localityStealTier `json:"locality_steal"`
 	// DAGWorkloads drives the registered structured-job workloads through
 	// serve.Pool.SubmitDAG — dependency release riding the terminal-event
 	// hook — and reports the estimator's view of each graph storm. The
@@ -83,24 +76,6 @@ type dagWorkloadTier struct {
 	PeakAllotment      int       `json:"peak_allotment"`
 	Capacity           int       `json:"capacity"`
 	SamplesNodesPerSec []float64 `json:"samples_nodes_per_sec,omitempty"`
-}
-
-// localityStealTier is one arm of the locality A/B comparison. Steal
-// counts are totals across workers; LocalShare is local/(local+remote).
-// When the tier ran more than once (-bench-count) the reported numbers
-// are the median repetition by jobs/sec and SamplesJobsPerSec lists
-// every repetition.
-type localityStealTier struct {
-	Policy            string    `json:"policy"` // "locality" or "flat"
-	Nodes             int       `json:"nodes"`
-	Producers         int       `json:"producers"`
-	Jobs              int       `json:"jobs"`
-	WallNS            int64     `json:"wall_ns"`
-	JobsPerSec        float64   `json:"jobs_per_sec"`
-	LocalSteals       int64     `json:"local_steals"`
-	RemoteSteals      int64     `json:"remote_steals"`
-	LocalShare        float64   `json:"local_share"`
-	SamplesJobsPerSec []float64 `json:"samples_jobs_per_sec,omitempty"`
 }
 
 // submitThroughputTier is one producer-count point on the scaling curve.
@@ -143,9 +118,6 @@ func wsrtBench(path, baseline string, count int) error {
 	if err := benchSubmitThroughput(&rep, count); err != nil {
 		return err
 	}
-	if err := benchLocalitySteal(&rep, count); err != nil {
-		return err
-	}
 	if err := benchDAGWorkloads(&rep, count); err != nil {
 		return err
 	}
@@ -170,10 +142,6 @@ func wsrtBench(path, baseline string, count int) error {
 	for _, tier := range rep.SubmitThroughput {
 		fmt.Printf("  submit throughput: %2d producers -> %.0f jobs/sec (p50=%s p99=%s)\n",
 			tier.Producers, tier.JobsPerSec, time.Duration(tier.P50NS), time.Duration(tier.P99NS))
-	}
-	for _, tier := range rep.LocalitySteal {
-		fmt.Printf("  locality steal [%8s]: %.0f jobs/sec, steals local=%d remote=%d (local share %.2f)\n",
-			tier.Policy, tier.JobsPerSec, tier.LocalSteals, tier.RemoteSteals, tier.LocalShare)
 	}
 	for _, tier := range rep.DAGWorkloads {
 		fmt.Printf("  dag workload [%9s]: %.0f nodes/sec over %d graphs x %d nodes, peak desire=%d allot=%d cap=%d\n",
@@ -212,20 +180,6 @@ func checkBenchBaseline(rep *wsrtBenchReport, path string) error {
 		if tier.JobsPerSec*2 < ref.JobsPerSec {
 			return fmt.Errorf("bench baseline: %d-producer submit throughput regressed >2x: %.0f jobs/sec vs baseline %.0f",
 				tier.Producers, tier.JobsPerSec, ref.JobsPerSec)
-		}
-	}
-	byPolicy := make(map[string]localityStealTier, len(old.LocalitySteal))
-	for _, tier := range old.LocalitySteal {
-		byPolicy[tier.Policy] = tier
-	}
-	for _, tier := range rep.LocalitySteal {
-		ref, ok := byPolicy[tier.Policy]
-		if !ok || ref.JobsPerSec <= 0 {
-			continue
-		}
-		if tier.JobsPerSec*2 < ref.JobsPerSec {
-			return fmt.Errorf("bench baseline: %s locality tier regressed >2x: %.0f jobs/sec vs baseline %.0f",
-				tier.Policy, tier.JobsPerSec, ref.JobsPerSec)
 		}
 	}
 	// DAG tiers match by workload name; a baseline committed before the
@@ -433,125 +387,6 @@ func benchSubmitTier(producers, jobs int) (submitThroughputTier, error) {
 		tier.LatSamples = len(lat)
 		tier.P50NS = lat[len(lat)/2]
 		tier.P99NS = lat[(len(lat)-1)*99/100]
-	}
-	return tier, nil
-}
-
-// benchLocalitySteal runs the locality-vs-flat A/B pair: a submit-driven,
-// steal-heavy workload (every job fans out children, so both shard steals
-// and deque steals flow) under a synthetic two-node split of the 4x2 mesh
-// versus the explicit flat map. The synthetic split makes the comparison
-// meaningful on single-node CI runners — the locality arm exercises the
-// biased pick and partitioned sweeps, the flat arm runs the pre-locality
-// scheduling bit for bit. Each arm repeats count times; the median
-// repetition by jobs/sec is reported.
-func benchLocalitySteal(rep *wsrtBenchReport, count int) error {
-	if count < 1 {
-		count = 1
-	}
-	const nodes = 2
-	arms := []struct {
-		policy string
-		loc    *topo.Locality
-	}{
-		{"locality", topo.SplitLocality(8, nodes)},
-		{"flat", topo.FlatLocality(8)},
-	}
-	for _, arm := range arms {
-		reps := make([]localityStealTier, 0, count)
-		for i := 0; i < count; i++ {
-			tier, err := benchLocalityTier(arm.policy, arm.loc)
-			if err != nil {
-				return err
-			}
-			reps = append(reps, tier)
-		}
-		sort.Slice(reps, func(i, j int) bool { return reps[i].JobsPerSec < reps[j].JobsPerSec })
-		tier := reps[len(reps)/2]
-		if count > 1 {
-			tier.SamplesJobsPerSec = make([]float64, 0, count)
-			for _, r := range reps {
-				tier.SamplesJobsPerSec = append(tier.SamplesJobsPerSec, r.JobsPerSec)
-			}
-		}
-		rep.LocalitySteal = append(rep.LocalitySteal, tier)
-	}
-	return nil
-}
-
-func benchLocalityTier(policy string, loc *topo.Locality) (localityStealTier, error) {
-	const (
-		producers = 8
-		jobs      = 4000
-		children  = 4
-	)
-	tier := localityStealTier{Policy: policy, Nodes: loc.NumNodes(), Producers: producers, Jobs: jobs}
-	rt, err := wsrt.New(wsrt.Config{
-		Mesh: topo.MustMesh(4, 2), Source: 0, InitialDiaspora: 10,
-		SubmitQueueCap: 512, Locality: loc,
-	})
-	if err != nil {
-		return tier, err
-	}
-	if err := rt.Start(); err != nil {
-		return tier, err
-	}
-	var done sync.WaitGroup
-	done.Add(jobs)
-	// Each job spawns a small fan-out with a touch of compute, so workers
-	// overflow their deques and the steal paths — shard pickup and deque
-	// steals alike — carry real traffic for the local/remote split.
-	body := func(c *wsrt.Ctx) {
-		for i := 0; i < children; i++ {
-			c.Spawn(func(cc *wsrt.Ctx) { cc.Compute(2_000) })
-		}
-		c.SyncAll()
-	}
-	onDone := func() { done.Done() }
-	var submitErr atomic.Value
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		mine := (jobs - 1 - p) / producers
-		go func(mine int) {
-			defer wg.Done()
-			for j := 0; j <= mine; j++ {
-				for {
-					err := rt.Submit(body, onDone)
-					if err == nil {
-						break
-					}
-					if errors.Is(err, wsrt.ErrSubmitQueueFull) {
-						runtime.Gosched()
-						continue
-					}
-					submitErr.Store(err)
-					done.Add(-(mine + 1 - j))
-					return
-				}
-			}
-		}(mine)
-	}
-	wg.Wait()
-	done.Wait()
-	tier.WallNS = time.Since(t0).Nanoseconds()
-	r, err := rt.Shutdown()
-	if err != nil {
-		return tier, err
-	}
-	if err, ok := submitErr.Load().(error); ok {
-		return tier, err
-	}
-	for _, w := range r.Workers {
-		tier.LocalSteals += w.LocalSteals
-		tier.RemoteSteals += w.RemoteSteals
-	}
-	if total := tier.LocalSteals + tier.RemoteSteals; total > 0 {
-		tier.LocalShare = float64(tier.LocalSteals) / float64(total)
-	}
-	if tier.WallNS > 0 {
-		tier.JobsPerSec = float64(jobs) / (float64(tier.WallNS) / 1e9)
 	}
 	return tier, nil
 }

@@ -114,17 +114,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "palirria-serve:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(lis) //nolint:errcheck // returns ErrServerClosed on Close
 	fmt.Printf("palirria-serve: listening on %s (%d tenant(s), mesh %s)\n",
 		lis.Addr(), len(s.pools), opts.mesh)
 
 	// The process lives until a successful POST /drain, then exits cleanly
 	// — every admitted job has completed and every allotment is released.
-	<-s.drained
-	srv.Close()
+	s.serveUntilDrained(lis)
 	s.close()
 	fmt.Println("palirria-serve: drained, exiting")
+}
+
+// serveUntilDrained serves on lis until a successful POST /drain, then
+// stops the HTTP server. Shutdown lets the /drain reply itself reach the
+// client whole — the handler signals drained before it returns, and a
+// plain Close at that point cut about one reply in ten off as EOF. It is
+// bounded because /events streams never go idle; Close then drops those.
+func (s *server) serveUntilDrained(lis net.Listener) {
+	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: 5 * time.Second}
+	go srv.Serve(lis) //nolint:errcheck // returns ErrServerClosed on Shutdown
+	<-s.drained
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx) //nolint:errcheck // a timeout only means streams lingered; Close ends them
+	srv.Close()
 }
 
 type options struct {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -570,5 +571,44 @@ func TestServerStatusHasAdmitQuantiles(t *testing.T) {
 	p := st.Pools[0]
 	if p.AdmitP50 <= 0 || p.AdmitP99 <= 0 || p.AdmitP50 > p.AdmitP99 {
 		t.Fatalf("admit quantiles p50=%g p99=%g", p.AdmitP50, p.AdmitP99)
+	}
+}
+
+// TestDrainReplyIsComplete is the regression test for the truncated
+// /drain reply: the daemon used to close its listener as soon as the
+// handler had written the reply, and about one in ten reached the client
+// as EOF. Every start/drain cycle must deliver the whole JSON ledger and
+// serveUntilDrained must return on its own.
+func TestDrainReplyIsComplete(t *testing.T) {
+	for i := 0; i < 30; i++ {
+		s, err := newServer(testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped := make(chan struct{})
+		go func() {
+			s.serveUntilDrained(lis)
+			close(stopped)
+		}()
+		resp, err := http.Post("http://"+lis.Addr().String()+"/drain", "application/json", nil)
+		if err != nil {
+			t.Fatalf("cycle %d: POST /drain: %v", i, err)
+		}
+		var rep statusReply
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil || len(rep.Pools) != 1 {
+			t.Fatalf("cycle %d: /drain reply cut off: err=%v pools=%d", i, err, len(rep.Pools))
+		}
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cycle %d: server did not stop after /drain", i)
+		}
+		s.close()
 	}
 }

@@ -73,6 +73,9 @@ type CapEvent struct {
 // Script is a fully planned scenario. It is pure data: planning the same
 // (scenario, seed) pair always yields the same script, byte-for-byte under
 // JSON marshalling, which is what makes a printed seed a complete repro.
+// Replay re-plans from (scenario, seed) and never decodes a script, so a
+// CHAOS_FAIL.json written before the "locality_nodes" knob was withdrawn
+// still replays; encoding/json would ignore the unknown key in any case.
 type Script struct {
 	Scenario string `json:"scenario"`
 	Seed     uint64 `json:"seed"`
@@ -86,11 +89,6 @@ type Script struct {
 	QuantumUS      int64 `json:"quantum_us,omitempty"`
 	SubmitQueueCap int   `json:"submit_queue_cap"`
 	PoolQueueCap   int   `json:"pool_queue_cap,omitempty"`
-	// LocalityNodes > 1 runs the runtime under a synthetic locality split
-	// of that many nodes (topo.SplitLocality), driving the biased shard
-	// pick and the node-local-first steal sweeps through the same
-	// adversarial interleavings as the flat paths; 0/1 forces flat.
-	LocalityNodes int `json:"locality_nodes,omitempty"`
 
 	Submitters int       `json:"submitters"`
 	Jobs       []JobSpec `json:"jobs"`
@@ -374,9 +372,6 @@ func runRuntime(sc *Script, res *Result) {
 		Mesh:           topo.MustMesh(sc.MeshW, sc.MeshH),
 		Source:         topo.CoreID(sc.Source),
 		SubmitQueueCap: sc.SubmitQueueCap,
-	}
-	if sc.LocalityNodes > 1 {
-		cfg.Locality = topo.SplitLocality(sc.MeshW*sc.MeshH, sc.LocalityNodes)
 	}
 	if sc.QuantumUS > 0 {
 		cfg.Estimator = core.NewPalirria()

@@ -73,9 +73,6 @@ var scenarios = []Scenario{
 				at += int64(200 + rng.Intn(601))
 				sc.CapEvents = append(sc.CapEvents, CapEvent{AtUS: at, Cap: rng.Intn(37)})
 			}
-			// Revokes under a synthetic multi-node split: the locality-
-			// partitioned sweeps must conserve tasks exactly like flat ones.
-			sc.LocalityNodes = 2 + rng.Intn(2)
 		},
 	},
 	{
@@ -170,9 +167,6 @@ var scenarios = []Scenario{
 				}
 				sc.CapEvents = append(sc.CapEvents, CapEvent{AtUS: at, Cap: cap})
 			}
-			// Half the seeds run flat, half under a split, so the rebuild
-			// races cover both byNode shapes of the policy bundle.
-			sc.LocalityNodes = 1 + rng.Intn(3)
 		},
 	},
 	{
@@ -281,9 +275,6 @@ var scenarios = []Scenario{
 				sc.CapEvents = append(sc.CapEvents, CapEvent{AtUS: at, Cap: rng.Intn(37)})
 			}
 			sc.ShutdownAtUS = int64(800 + rng.Intn(3201))
-			// The shard storm is where the biased pick and the rescue scan
-			// interleave hardest; run it under a synthetic split.
-			sc.LocalityNodes = 2 + rng.Intn(2)
 		},
 	},
 	{

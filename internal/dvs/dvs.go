@@ -52,39 +52,6 @@ type Policy interface {
 	// if needed), never policy-internal storage, so steal probes that
 	// reuse a per-worker buffer do zero heap allocations at steady state.
 	VictimsInto(w topo.CoreID, buf []topo.CoreID) []topo.CoreID
-	// VictimsIntoLocality is VictimsInto with a stable physical-locality
-	// partition: victims on the same loc domain as w come first, remote
-	// victims after, each group preserving the policy's own order — the
-	// logical tiering (DVS classes, shuffle order, cyclic order) decides
-	// within a domain, the machine decides between domains. nLocal is the
-	// length of the local prefix. A nil or flat loc degrades to
-	// VictimsInto with every victim local. The same aliasing contract as
-	// VictimsInto holds: the result lives in buf's backing array, so
-	// per-worker buffers stay allocation-free at steady state.
-	VictimsIntoLocality(w topo.CoreID, loc *topo.Locality, buf []topo.CoreID) (out []topo.CoreID, nLocal int)
-}
-
-// appendLocalityPartition writes list into buf partitioned local-first
-// relative to w under loc, preserving list's order within each group.
-// Shared by every Policy implementation; two passes, no allocation
-// beyond growing buf.
-func appendLocalityPartition(list []topo.CoreID, w topo.CoreID, loc *topo.Locality, buf []topo.CoreID) ([]topo.CoreID, int) {
-	if loc == nil || loc.Flat() {
-		return append(buf, list...), len(list)
-	}
-	home := loc.Node(w)
-	for _, v := range list {
-		if loc.Node(v) == home {
-			buf = append(buf, v)
-		}
-	}
-	nLocal := len(buf)
-	for _, v := range list {
-		if loc.Node(v) != home {
-			buf = append(buf, v)
-		}
-	}
-	return buf, nLocal
 }
 
 // fallbackVictims is the maximum number of nearest-member fallback victims
@@ -226,12 +193,6 @@ func (d *DVS) Victims(w topo.CoreID) []topo.CoreID { return d.victims[w] }
 // VictimsInto implements Policy: the precomputed list is copied into buf.
 func (d *DVS) VictimsInto(w topo.CoreID, buf []topo.CoreID) []topo.CoreID {
 	return append(buf, d.victims[w]...)
-}
-
-// VictimsIntoLocality implements Policy: the precomputed list, stably
-// partitioned local-first under loc.
-func (d *DVS) VictimsIntoLocality(w topo.CoreID, loc *topo.Locality, buf []topo.CoreID) ([]topo.CoreID, int) {
-	return appendLocalityPartition(d.victims[w], w, loc, buf)
 }
 
 // buildVictims assembles the ordered victim list for worker w according to
@@ -430,19 +391,6 @@ func (r *Random) VictimsInto(w topo.CoreID, buf []topo.CoreID) []topo.CoreID {
 	return buf
 }
 
-// VictimsIntoLocality implements Policy: a fresh shuffle, stably
-// partitioned local-first under loc. The worker's deterministic stream
-// advances exactly once per call, so every Victims variant remains
-// interchangeable mid-run.
-func (r *Random) VictimsIntoLocality(w topo.CoreID, loc *topo.Locality, buf []topo.CoreID) ([]topo.CoreID, int) {
-	st := r.streams[w]
-	if st == nil {
-		return buf, 0
-	}
-	shuffleCores(st.rng, st.buf)
-	return appendLocalityPartition(st.buf, w, loc, buf)
-}
-
 func shuffleCores(rng *xrand.Xoshiro256, p []topo.CoreID) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
@@ -487,10 +435,4 @@ func (rr *RoundRobin) Victims(w topo.CoreID) []topo.CoreID { return rr.lists[w] 
 // VictimsInto implements Policy: the fixed cyclic list is copied into buf.
 func (rr *RoundRobin) VictimsInto(w topo.CoreID, buf []topo.CoreID) []topo.CoreID {
 	return append(buf, rr.lists[w]...)
-}
-
-// VictimsIntoLocality implements Policy: the fixed cyclic list, stably
-// partitioned local-first under loc.
-func (rr *RoundRobin) VictimsIntoLocality(w topo.CoreID, loc *topo.Locality, buf []topo.CoreID) ([]topo.CoreID, int) {
-	return appendLocalityPartition(rr.lists[w], w, loc, buf)
 }

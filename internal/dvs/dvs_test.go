@@ -372,85 +372,3 @@ func TestZClassOuterTierEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestVictimsIntoLocalityPartition(t *testing.T) {
-	// Every policy's locality variant must return a stable local-first
-	// partition of the plain list: same multiset, local prefix of exactly
-	// nLocal, original relative order preserved within each group.
-	c := sim27(t)
-	a := c.Allotment()
-	loc := topo.SplitLocality(int(a.Mesh().NumCores()), 2)
-	policies := []Policy{New(c), NewRandom(a, 9), NewRoundRobin(a)}
-	for _, p := range policies {
-		// Two equal-seed instances so Random's stream advance stays in
-		// lockstep between the plain and locality calls.
-		var ref Policy
-		switch p.(type) {
-		case *Random:
-			ref = NewRandom(a, 9)
-		case *RoundRobin:
-			ref = NewRoundRobin(a)
-		default:
-			ref = New(c)
-		}
-		for _, w := range a.Members() {
-			plain := append([]topo.CoreID(nil), ref.VictimsInto(w, nil)...)
-			part, nLocal := p.VictimsIntoLocality(w, loc, nil)
-			if len(part) != len(plain) {
-				t.Fatalf("%s worker %d: partition has %d victims, plain %d",
-					p.Name(), w, len(part), len(plain))
-			}
-			if nLocal < 0 || nLocal > len(part) {
-				t.Fatalf("%s worker %d: nLocal %d out of range", p.Name(), w, nLocal)
-			}
-			for i, v := range part {
-				if local := loc.SameNode(w, v); local != (i < nLocal) {
-					t.Fatalf("%s worker %d: victim %d at index %d (nLocal %d) local=%v",
-						p.Name(), w, v, i, nLocal, local)
-				}
-			}
-			// Stability: the plain order, filtered per group, must match.
-			want := make([]topo.CoreID, 0, len(plain))
-			for _, v := range plain {
-				if loc.SameNode(w, v) {
-					want = append(want, v)
-				}
-			}
-			for _, v := range plain {
-				if !loc.SameNode(w, v) {
-					want = append(want, v)
-				}
-			}
-			for i := range want {
-				if part[i] != want[i] {
-					t.Fatalf("%s worker %d: partition %v not a stable split of %v",
-						p.Name(), w, part, plain)
-				}
-			}
-		}
-	}
-}
-
-func TestVictimsIntoLocalityFlatDegradesToPlain(t *testing.T) {
-	// A nil or flat locality map must reproduce VictimsInto exactly, with
-	// everything counted local — the guarantee that keeps flat runtimes
-	// bit-identical to the pre-locality scheduler.
-	c := sim27(t)
-	a := c.Allotment()
-	n := int(a.Mesh().NumCores())
-	for _, loc := range []*topo.Locality{nil, topo.FlatLocality(n)} {
-		d1, d2 := New(c), New(c)
-		for _, w := range a.Members() {
-			plain := d1.VictimsInto(w, nil)
-			part, nLocal := d2.VictimsIntoLocality(w, loc, nil)
-			if nLocal != len(plain) {
-				t.Fatalf("worker %d: nLocal %d, want all %d local", w, nLocal, len(plain))
-			}
-			for i := range plain {
-				if part[i] != plain[i] {
-					t.Fatalf("worker %d: flat partition %v != plain %v", w, part, plain)
-				}
-			}
-		}
-	}
-}

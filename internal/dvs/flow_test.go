@@ -117,6 +117,3 @@ func (brokenPolicy) Victims(topo.CoreID) []topo.CoreID { return nil }
 func (brokenPolicy) VictimsInto(_ topo.CoreID, buf []topo.CoreID) []topo.CoreID {
 	return buf
 }
-func (brokenPolicy) VictimsIntoLocality(_ topo.CoreID, _ *topo.Locality, buf []topo.CoreID) ([]topo.CoreID, int) {
-	return buf, 0
-}

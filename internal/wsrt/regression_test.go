@@ -185,3 +185,37 @@ func TestShrinkWithWorkConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunNeverLosesRoot is the regression test for the lost root: Run used
+// to start the workers and then push the root onto the source worker's
+// deque from the calling goroutine, racing the owner's first PopBottom —
+// the owner's restore of bottom after the failed pop could overwrite the
+// push, leaving every worker parked with zero tasks executed and Run
+// waiting forever (about once in 10^4 short runs). The root is now seeded
+// before launch, so no cycle may hang.
+func TestRunNeverLosesRoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("thousands of New+Run cycles")
+	}
+	mesh := topo.MustMesh(2, 2)
+	deadline := time.Now().Add(4 * time.Second)
+	for i := 0; i < 5000 && time.Now().Before(deadline); i++ {
+		rt, err := New(Config{Mesh: mesh, Source: 0, InitialDiaspora: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := rt.Run(func(*Ctx) {})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("cycle %d: Run did not return within 2s — the root was lost", i)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"palirria/internal/core"
 	"palirria/internal/topo"
 )
 
@@ -209,5 +210,129 @@ func TestSubmitBatchLifecycleErrors(t *testing.T) {
 	}
 	if n, err := rt.SubmitBatch([]Job{{Fn: func(c *Ctx) {}}}); n != 0 || !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitBatch after Shutdown = (%d, %v), want (0, ErrClosed)", n, err)
+	}
+}
+
+// TestPickShardDegeneratePaths pins the fallbacks around the p2c pick: a
+// nil bundle (Submit before the first rebuild), a bundle with an empty
+// member list (degenerate grant), and a single-member grant must all
+// yield a usable shard.
+func TestPickShardDegeneratePaths(t *testing.T) {
+	rt, err := New(Config{Mesh: topo.MustMesh(4, 1), Source: 0, InitialDiaspora: 10,
+		SubmitQueueCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := rt.pickShard(nil); w == nil || rt.byID[w.id] != w {
+		t.Fatalf("nil bundle: pick = %v, want a runtime worker", w)
+	}
+	if w := rt.pickShard(&policyBundle{}); w == nil || rt.byID[w.id] != w {
+		t.Fatalf("empty members: pick = %v, want a workerList fallback", w)
+	}
+	solo := rt.byID[2]
+	if w := rt.pickShard(&policyBundle{members: []*worker{solo}}); w != solo {
+		t.Fatalf("single member: pick = %v, want worker 2", w)
+	}
+}
+
+// TestPushAnyPrefersGrantedMembers pins the fallback-publish ordering fix:
+// pushAny must try the current bundle's granted members before any
+// revoked or never-granted shard, and spill outside the grant only when
+// every member shard is full.
+func TestPushAnyPrefersGrantedMembers(t *testing.T) {
+	rt, err := New(Config{Mesh: topo.MustMesh(4, 1), Source: 0, InitialDiaspora: 10,
+		SubmitQueueCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A grant of worker 2 only: the old flat core-order scan would land
+	// the publish in worker 0's shard — a non-member with no owner loop
+	// draining it.
+	member := rt.byID[2]
+	rt.policy.Store(&policyBundle{members: []*worker{member}})
+	if w := rt.pushAny(&rtTask{fn: func(*Ctx) {}}); w != member {
+		t.Fatalf("pushAny landed in worker %d, want granted worker 2", w.id)
+	}
+	// Fill the member's shard; the overflow must now spill to the first
+	// non-member in core order — last resort, not first choice.
+	for member.shard.Push(&rtTask{fn: func(*Ctx) {}}) {
+	}
+	if w := rt.pushAny(&rtTask{fn: func(*Ctx) {}}); w != rt.byID[0] {
+		t.Fatalf("overflow pushAny landed in worker %d, want worker 0", w.id)
+	}
+	// No bundle at all: the plain core-order scan (worker 0 has room).
+	rt2, err := New(Config{Mesh: topo.MustMesh(2, 1), Source: 0, SubmitQueueCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt2.policy.Store(&policyBundle{}) // empty members
+	if w := rt2.pushAny(&rtTask{fn: func(*Ctx) {}}); w != rt2.byID[0] {
+		t.Fatalf("no-members pushAny landed in worker %d, want worker 0", w.id)
+	}
+}
+
+// TestStrandedJobPickupLatency is the end-to-end regression for the
+// stranded-publish bug: a job sitting in the shard of a worker outside
+// the current grant must still start within a bounded window (the
+// takeSibling rescue scan), not wait for the next grant to include that
+// worker again.
+func TestStrandedJobPickupLatency(t *testing.T) {
+	rt, err := New(Config{Mesh: topo.MustMesh(4, 1), Source: 0, InitialDiaspora: 10,
+		SubmitQueueCap: 16, Estimator: core.NewPalirria()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Shrink the grant below the full mesh and wait for the rebuild to
+	// land (grants are zone-granular, so the floor is the zone-1
+	// allotment, not a single worker). Estimation quanta only advance
+	// while work flows, so a trickle of no-op jobs drives the decisions
+	// that apply the lowered cap.
+	rt.SetMaxWorkers(1)
+	deadline := time.Now().Add(latencyBudget(10 * time.Second))
+	for {
+		if b := rt.loadPolicy(); b != nil && len(b.members) > 0 && len(b.members) < len(rt.workerList) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("grant never shrank below the full mesh")
+		}
+		if err := rt.Submit(func(c *Ctx) {}, nil); err != nil {
+			t.Fatalf("trickle submit: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b := rt.loadPolicy()
+	// Strand a job in a revoked worker's shard, reservation and wakeup
+	// included — exactly what a Submit that raced the revocation did.
+	var victim *worker
+	for _, w := range rt.workerList {
+		if !isMember(b.members, w) {
+			victim = w
+			break
+		}
+	}
+	done := make(chan struct{})
+	victim.seal.RLock()
+	if rt.reserveUpTo(victim, 1) != 1 {
+		t.Fatal("reservation failed on an idle runtime")
+	}
+	if !victim.shard.Push(&rtTask{fn: func(*Ctx) {}, onDone: func() { close(done) }}) {
+		t.Fatal("push failed after successful reservation")
+	}
+	victim.seal.RUnlock()
+	rt.wakeForInject(victim)
+	select {
+	case <-done:
+	case <-time.After(latencyBudget(5 * time.Second)):
+		t.Fatal("stranded job never picked up: rescue scan broken")
+	}
+	if _, err := rt.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.VerifySubmitLedger(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -213,14 +213,13 @@ func TestPickShardPrefersShallower(t *testing.T) {
 	// the old `seq % n` candidate reduction was modulo-biased toward low
 	// indices for non-power-of-two n; Lemire's multiply-shift reduction is
 	// exactly uniform for every n, so the p2c bound below holds across the
-	// table. FlatLocality pins the global p2c path regardless of the
-	// machine the test runs on.
+	// table.
 	for _, n := range []int{3, 4, 6} {
 		n := n
 		t.Run(fmt.Sprintf("members=%d", n), func(t *testing.T) {
 			rt, err := New(Config{
 				Mesh: topo.MustMesh(n, 1), Source: 0, InitialDiaspora: 10,
-				SubmitQueueCap: 64, Locality: topo.FlatLocality(n),
+				SubmitQueueCap: 64,
 			})
 			if err != nil {
 				t.Fatal(err)

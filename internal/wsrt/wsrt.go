@@ -101,19 +101,6 @@ type Config struct {
 	QueueCap int
 	// Pin locks workers to OS threads and, on Linux, sets CPU affinity.
 	Pin bool
-	// Locality overlays the physical machine topology (NUMA node / socket
-	// grouping of the mesh cores) on the virtual mesh. Nil auto-detects on
-	// Linux via getcpu(2) — worker core i is assumed to sit on physical
-	// CPU i, which Pin makes literally true — and degrades to a flat
-	// single-node map on other OSes, single-node hosts, or detection
-	// failure. Flat locality reproduces the pre-locality scheduling
-	// exactly: no getcpu on the submit path, no partitioned steal sweeps.
-	// A multi-node map biases pickShard's p2c candidates toward the
-	// submitting goroutine's last-run node and orders shard and deque
-	// steal sweeps node-local-first within the victim policy's own
-	// tiering. topo.FlatLocality forces the flat behavior for A/B runs;
-	// topo.SplitLocality fakes a multi-node machine for tests and benches.
-	Locality *topo.Locality
 
 	// Tracer enables structured event tracing: every worker gets its own
 	// drop-newest ring (safe under concurrent draining). Create it with
@@ -181,13 +168,6 @@ type WorkerReport struct {
 	// ShardSteals counts injected job roots this worker pulled from a
 	// sibling's injection shard (its own shard's drains are not steals).
 	ShardSteals int64
-	// LocalSteals and RemoteSteals split this worker's successful steals
-	// (deque and shard alike, so LocalSteals+RemoteSteals ==
-	// Steals+ShardSteals) by the runtime's locality map: a steal from a
-	// victim on the same physical node is local. Under a flat locality
-	// every steal is local — the split only says something on (real or
-	// synthetic) multi-node maps.
-	LocalSteals, RemoteSteals int64
 }
 
 // Report is a run's outcome.
@@ -230,14 +210,6 @@ type Runtime struct {
 	// Entries for reserved cores are nil.
 	byID   []*worker
 	policy atomic.Value // *policyBundle over the resident set
-
-	// loc is the physical locality map over the mesh cores (never nil;
-	// flat when the machine is single-node or undetectable) and cpuNode
-	// the physical cpu -> node table behind the submit-path bias (nil on
-	// flat maps — the bias is then skipped without a getcpu call). Both
-	// are read-only after New.
-	loc     *topo.Locality
-	cpuNode []int
 
 	// policyMu serializes rebuildPolicy: the helper rebuilds on allotment
 	// changes and retiring workers rebuild to purge themselves from the
@@ -416,7 +388,6 @@ func New(cfg Config) (*Runtime, error) {
 	for _, w := range r.workerList {
 		r.byID[w.id] = w
 	}
-	r.initLocality()
 	// The whole cap starts in the global slack pool; shard credit caches
 	// fill lazily as producers refill and consumers release. creditCap
 	// splits the cap across the shards with headroom (half the even share,
@@ -441,84 +412,6 @@ func New(cfg Config) (*Runtime, error) {
 	r.rebuildPolicy()
 	return r, nil
 }
-
-// initLocality resolves the runtime's physical locality map: the explicit
-// Config.Locality when given, otherwise the host's detected cpu -> node
-// table (worker core i <-> physical CPU i — the mapping Pin enforces), or
-// flat when the host is single-node, non-Linux, or undetectable. cpuNode
-// is populated only for multi-node maps; its nil-ness is what keeps every
-// locality hot path (including the submit-side getcpu) completely cold on
-// flat machines.
-func (r *Runtime) initLocality() {
-	n := r.mesh.NumCores()
-	if l := r.cfg.Locality; l != nil {
-		r.loc = l
-		if !l.Flat() {
-			// Caller-supplied (possibly synthetic) map: route the
-			// submitter's CPU through the mesh-core table (cpu i ~ core
-			// i mod n), so tests and benches exercise the bias on any
-			// host, including single-CPU ones.
-			ncpu := runtime.NumCPU()
-			if ncpu < n {
-				ncpu = n
-			}
-			r.cpuNode = make([]int, ncpu)
-			for i := range r.cpuNode {
-				r.cpuNode[i] = l.Node(topo.CoreID(i % n))
-			}
-		}
-		return
-	}
-	phys := physCPUNodes()
-	if phys == nil {
-		r.loc = topo.FlatLocality(n)
-		return
-	}
-	nodeByCore := make([]int, n)
-	for i := range nodeByCore {
-		if i < len(phys) {
-			nodeByCore[i] = phys[i]
-		} // cores beyond the machine float; fold them into the first node
-	}
-	loc := topo.NewLocality(nodeByCore)
-	if loc.Flat() {
-		// Every core the mesh can reach sits on one node: flat behavior,
-		// even though the machine as a whole has more nodes.
-		r.loc = topo.FlatLocality(n)
-		return
-	}
-	r.loc = loc
-	r.cpuNode = make([]int, len(phys))
-	for i := range phys {
-		if i < n {
-			r.cpuNode[i] = loc.Node(topo.CoreID(i))
-			continue
-		}
-		// A CPU beyond the mesh: borrow the domain of any mesh core on
-		// the same physical node, so a producer running there still
-		// biases toward genuinely near shards.
-		for j := 0; j < n; j++ {
-			if phys[j] == phys[i] {
-				r.cpuNode[i] = loc.Node(topo.CoreID(j))
-				break
-			}
-		}
-	}
-}
-
-// submitterNode maps the submitting goroutine's last-run CPU to a
-// locality domain, 0 when unknown. Only called on multi-node maps (one
-// getcpu vDSO-free syscall; flat runtimes never reach it).
-func (r *Runtime) submitterNode() int {
-	if cpu := currentCPU(); cpu >= 0 && cpu < len(r.cpuNode) {
-		return r.cpuNode[cpu]
-	}
-	return 0
-}
-
-// Locality exposes the resolved physical locality map (never nil; flat
-// when the machine offers no distinction).
-func (r *Runtime) Locality() *topo.Locality { return r.loc }
 
 // registerMetrics exposes the runtime's live state on reg. All values are
 // sampled from atomics at scrape time; registration happens once here.
@@ -553,10 +446,6 @@ func (r *Runtime) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(r.injectedTotal()) }, base...)
 	reg.CounterFunc("palirria_shard_steals_total", "Injected job roots taken from a sibling's shard.",
 		sum(func(w *worker) *int64 { return &w.stats.ShardSteals }), base...)
-	reg.CounterFunc("palirria_steal_local_total", "Successful steals (deque and shard) from a victim on the thief's locality node; every steal on flat machines.",
-		sum(func(w *worker) *int64 { return &w.stats.LocalSteals }), base...)
-	reg.CounterFunc("palirria_steal_remote_total", "Successful steals (deque and shard) that crossed locality nodes; zero on flat machines.",
-		sum(func(w *worker) *int64 { return &w.stats.RemoteSteals }), base...)
 	reg.GaugeFunc("palirria_submit_backlog", "Submitted job roots not yet started, across all shards.",
 		func() float64 { return float64(r.backlogTotal()) }, base...)
 	reg.GaugeFunc("palirria_submit_slack", "Unreserved submission-backlog capacity (global pool plus per-shard credit caches).",
@@ -592,15 +481,6 @@ type policyBundle struct {
 	policy  dvs.Policy
 	thieves map[topo.CoreID][]*worker
 	members []*worker
-	// loc is the runtime's locality map when it distinguishes nodes, nil
-	// on flat runtimes — its nil-ness short-circuits every locality branch
-	// (partitioned victim sweeps, submit-side node bias) back to the exact
-	// pre-locality behavior.
-	loc *topo.Locality
-	// byNode groups members by locality domain (index = dense node id).
-	// Non-nil only when loc is. Node groups can be empty: a grant may
-	// occupy a single node of a multi-node machine.
-	byNode [][]*worker
 }
 
 func (r *Runtime) loadPolicy() *policyBundle {
@@ -663,16 +543,7 @@ func (r *Runtime) rebuildPolicy() {
 			members = append(members, w)
 		}
 	}
-	b := &policyBundle{policy: p, thieves: thieves, members: members}
-	if !r.loc.Flat() {
-		b.loc = r.loc
-		b.byNode = make([][]*worker, r.loc.NumNodes())
-		for _, w := range members {
-			n := r.loc.Node(w.id)
-			b.byNode[n] = append(b.byNode[n], w)
-		}
-	}
-	r.policy.Store(b)
+	r.policy.Store(&policyBundle{policy: p, thieves: thieves, members: members})
 }
 
 // Run executes root to completion and returns the report. Run is the
@@ -682,13 +553,16 @@ func (r *Runtime) Run(root Func) (*Report, error) {
 	if !r.started.CompareAndSwap(false, true) {
 		return nil, ErrAlreadyUsed
 	}
-	r.launch(false)
-	// Seed the root task on the source worker.
+	// Seed the root on the source worker's deque before launch: the deque
+	// is single-owner, and the go statement that starts its owner is the
+	// happens-before edge that hands the push over (a push after launch
+	// would race the owner's first PopBottom and could lose the root).
 	rootTask := &rtTask{fn: root, onDone: func() {
 		r.finished.Store(true)
 		close(r.rootDone)
 	}}
-	r.workers[r.cfg.Source].inject(rootTask)
+	r.workers[r.cfg.Source].deque.PushBottom(rootTask) // empty deque: cannot be full
+	r.launch(false)
 
 	<-r.rootDone
 	wall := nowNS() - r.startNS
@@ -976,12 +850,11 @@ func (r *Runtime) releaseSlot(s *deque.Shard[rtTask]) {
 }
 
 // pickShard chooses the injection shard for one job: two candidates over
-// the granted members — node-local ones first on a multi-node locality
-// map — keeping the shallower (power-of-two-choices). rand/v2 draws from
-// a per-P generator, so producers share no cursor state at all — the old
-// sync.Pool round-robin cursor cost a pool round-trip per Submit and was
-// the second-largest submit-path serialization after the aggregate
-// counter.
+// the granted members, keeping the shallower (power-of-two-choices).
+// rand/v2 draws from a per-P generator, so producers share no cursor state
+// at all — the old sync.Pool round-robin cursor cost a pool round-trip per
+// Submit and was the second-largest submit-path serialization after the
+// aggregate counter.
 //
 // Bounded staleness of the depth comparison: Shard.Len is racy-but-recent
 // — each load is a linearizable read of the ring's enq-deq counters, so
@@ -1005,36 +878,21 @@ func (r *Runtime) pickShard(b *policyBundle) *worker {
 	if len(ms) == 1 {
 		return ms[0]
 	}
-	if b != nil && b.byNode != nil {
-		// Multi-node: bias both p2c candidates toward the submitter's
-		// last-run node, so a job's first touch of its closure happens on
-		// the memory it was built on. The depth comparison still breaks
-		// ties — a flooded local node sheds to the shallower remote
-		// candidate rather than queueing behind locality.
-		if local := b.byNode[r.submitterNode()]; len(local) >= 2 {
-			return pickP2C(local, local)
-		} else if len(local) == 1 {
-			// One local member: race it against a global candidate so a
-			// lone shard cannot absorb a whole node's submit stream.
-			return pickP2C(local, ms)
-		}
-		// No member on the submitter's node: global p2c below.
-	}
-	return pickP2C(ms, ms)
+	return pickP2C(ms)
 }
 
-// pickP2C draws one 64-bit word and takes one uniform candidate from each
-// slice (power-of-two-choices), keeping the shallower shard. Indices come
-// from Lemire's multiply-shift reduction of each 32-bit half — exact
+// pickP2C draws one 64-bit word and takes two uniform candidates from ms
+// (power-of-two-choices), keeping the shallower shard. Indices come from
+// Lemire's multiply-shift reduction of each 32-bit half — exact
 // uniformity for any slice length, where the old modulo reduction skewed
 // low indices on non-power-of-two member counts (the skew scales with
 // n/2^32, invisible at small n but a standing thumb on the scale against
-// the depth signal). Both slices must be non-empty; a duplicate pair is
-// harmless.
-func pickP2C(primary, alt []*worker) *worker {
+// the depth signal). ms must be non-empty; a duplicate pair is harmless.
+func pickP2C(ms []*worker) *worker {
 	seq := rand.Uint64()
-	w := primary[uint32((uint64(uint32(seq))*uint64(len(primary)))>>32)]
-	if a := alt[uint32(((seq>>32)*uint64(len(alt)))>>32)]; a.shard.Len() < w.shard.Len() {
+	n := uint64(len(ms))
+	w := ms[uint32((uint64(uint32(seq))*n)>>32)]
+	if a := ms[uint32(((seq>>32)*n)>>32)]; a.shard.Len() < w.shard.Len() {
 		w = a
 	}
 	return w
@@ -1655,15 +1513,6 @@ func newWorker(r *Runtime, id topo.CoreID) *worker {
 	}
 }
 
-// inject places a task directly in the worker's deque from outside (used
-// to seed the root).
-func (w *worker) inject(t *rtTask) {
-	for !w.deque.PushBottom(t) {
-		runtime.Gosched()
-	}
-	w.unpark()
-}
-
 func (w *worker) unpark() {
 	select {
 	case w.parkC <- struct{}{}:
@@ -1777,35 +1626,10 @@ func (r *Runtime) workerByID(id topo.CoreID) *worker {
 	return r.byID[id]
 }
 
-// victimsFor materializes w's victim list into buf: plain policy order on
-// flat runtimes, node-local victims first (policy order preserved within
-// each group) on multi-node ones. The reorder is a stable partition of
-// the same list, so DVS's tier structure — and therefore its
-// task-discovery guarantee — survives intact; only the sweep order within
-// the probe changes.
-func (b *policyBundle) victimsFor(w *worker, buf []topo.CoreID) []topo.CoreID {
-	if b.loc == nil {
-		return b.policy.VictimsInto(w.id, buf)
-	}
-	out, _ := b.policy.VictimsIntoLocality(w.id, b.loc, buf)
-	return out
-}
-
-// countSteal files a successful steal from victim v under the local or
-// remote locality counter (on flat maps every steal is local).
-func (w *worker) countSteal(v topo.CoreID) {
-	if w.rt.loc.SameNode(w.id, v) {
-		atomic.AddInt64(&w.stats.LocalSteals, 1)
-	} else {
-		atomic.AddInt64(&w.stats.RemoteSteals, 1)
-	}
-}
-
 // stealProbe probes the victim list once, returning the stolen task or
 // nil. The probe sequence is allocation-free: the victim list is
-// materialized into the worker-owned victimBuf via victimsFor (guarded
-// by TestStealProbeZeroAllocs), node-local victims swept before remote
-// ones on multi-node machines. The caller owns the time accounting — the
+// materialized into the worker-owned victimBuf (guarded by
+// TestStealProbeZeroAllocs). The caller owns the time accounting — the
 // worker loop charges probes to its open search episode, Sync's leapfrog
 // stamps them explicitly.
 func (w *worker) stealProbe() *rtTask {
@@ -1813,7 +1637,7 @@ func (w *worker) stealProbe() *rtTask {
 	if b == nil {
 		return nil
 	}
-	w.victimBuf = b.victimsFor(w, w.victimBuf[:0])
+	w.victimBuf = b.policy.VictimsInto(w.id, w.victimBuf[:0])
 	for _, v := range w.victimBuf {
 		vw := w.rt.workerByID(v)
 		if vw == nil {
@@ -1821,7 +1645,6 @@ func (w *worker) stealProbe() *rtTask {
 		}
 		if t, ok := vw.deque.StealTop(); ok {
 			atomic.AddInt64(&w.stats.Steals, 1)
-			w.countSteal(v)
 			w.emit(obs.KindSteal, int32(v), 0)
 			// Wake chaining: the victim still has work, so pass the signal
 			// on to its next idle thief before running the stolen task.
@@ -1846,7 +1669,7 @@ func (w *worker) stealProbe() *rtTask {
 func (w *worker) takeSibling() *rtTask {
 	r := w.rt
 	if b := r.loadPolicy(); b != nil {
-		w.victimBuf = b.victimsFor(w, w.victimBuf[:0])
+		w.victimBuf = b.policy.VictimsInto(w.id, w.victimBuf[:0])
 		for _, v := range w.victimBuf {
 			vw := r.workerByID(v)
 			if vw == nil || vw == w || vw.shard.Len() == 0 {
@@ -1855,7 +1678,6 @@ func (w *worker) takeSibling() *rtTask {
 			if t, ok := vw.shard.Pop(); ok {
 				r.releaseSlot(vw.shard)
 				atomic.AddInt64(&w.stats.ShardSteals, 1)
-				w.countSteal(v)
 				if vw.shard.Len() > 0 {
 					vw.wakeOneThief()
 				}
@@ -1870,7 +1692,6 @@ func (w *worker) takeSibling() *rtTask {
 		if t, ok := vw.shard.Pop(); ok {
 			r.releaseSlot(vw.shard)
 			atomic.AddInt64(&w.stats.ShardSteals, 1)
-			w.countSteal(vw.id)
 			return t
 		}
 	}
