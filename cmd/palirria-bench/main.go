@@ -11,10 +11,13 @@
 //	palirria-bench -fig 9            # allotment classifications
 //	palirria-bench -summary          # headline PA-vs-AS aggregates
 //	palirria-bench -ablations        # quantum/L/victim/filter/overhead
-//	palirria-bench -all              # everything
+//	palirria-bench -multiprog        # multiprogrammed co-scheduling extension
+//	palirria-bench -all              # everything above
+//	palirria-bench -rt               # workload set on the real runtime (noisy)
 //	palirria-bench -trace-out /tmp/fib.json -trace-workload fib
-//	palirria-bench -wsrt -bench-out BENCH_wsrt.json   # real-runtime idle-path benchmarks
-//	palirria-bench -chaos -chaos-seeds 4              # seeded reconfiguration chaos suite
+//
+// The runtime's performance numbers come from bench/ (bash bench/run.sh);
+// the chaos suite runs from go test ./internal/chaos.
 package main
 
 import (
@@ -37,32 +40,8 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	traceOut := flag.String("trace-out", "", "trace one simulator run to a Chrome trace_event JSON file and exit")
 	traceWL := flag.String("trace-workload", "fib", "workload for -trace-out")
-	wsrtB := flag.Bool("wsrt", false, "measure the real runtime's idle-path benchmarks (submit latency, steal throughput, idle burn) and exit")
-	benchOut := flag.String("bench-out", "BENCH_wsrt.json", "output path for the -wsrt JSON report")
-	benchBase := flag.String("bench-baseline", "", "committed BENCH_wsrt.json to gate -wsrt against; fails on a >2x submit-throughput regression")
-	benchCount := flag.Int("bench-count", 1, "repetitions per submit-throughput tier; the median repetition is reported and gated")
-	chaosB := flag.Bool("chaos", false, "run the seeded reconfiguration chaos suite and exit (non-zero on any invariant violation)")
-	chaosScenario := flag.String("chaos-scenario", "", "restrict -chaos to one scenario by name")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "first seed for -chaos; a failing (scenario, seed) pair replays byte-identically")
-	chaosSeeds := flag.Int("chaos-seeds", 2, "seeds per scenario for -chaos")
-	chaosBound := flag.Duration("chaos-bound", 90*time.Second, "per-scenario deadlock bound for -chaos")
-	chaosOut := flag.String("chaos-out", "CHAOS_FAIL.json", "replay artifact path written by -chaos on violation")
 	flag.Parse()
 
-	if *chaosB {
-		if err := chaosRun(*chaosScenario, *chaosSeed, *chaosSeeds, *chaosBound, *chaosOut); err != nil {
-			fmt.Fprintln(os.Stderr, "palirria-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *wsrtB {
-		if err := wsrtBench(*benchOut, *benchBase, *benchCount); err != nil {
-			fmt.Fprintln(os.Stderr, "palirria-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *traceOut != "" {
 		if err := traceRun(*traceWL, *traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "palirria-bench:", err)
@@ -70,7 +49,7 @@ func main() {
 		}
 		return
 	}
-	if !*all && !*summary && !*ablations && !*multiprog && !*rt && *fig == 0 {
+	if !selectsOutput(*fig, *all || *summary || *ablations || *multiprog || *rt) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -80,6 +59,15 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\n(total harness time: %s)\n", time.Since(start).Round(time.Millisecond))
+}
+
+// selectsOutput reports whether the flags ask run for anything: a figure
+// the harness has (1-9), or — with no -fig — one of the table flags.
+func selectsOutput(fig int, tables bool) bool {
+	if fig == 0 {
+		return tables
+	}
+	return 1 <= fig && fig <= 9
 }
 
 // traceRun executes one palirria-scheduled simulator run of the named
