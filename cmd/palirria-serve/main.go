@@ -348,13 +348,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	tenant := q.Get("tenant")
-	if tenant == "" {
-		tenant = s.names[0]
-	}
-	p, ok := s.pools[tenant]
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown tenant %q", tenant), http.StatusNotFound)
+	tenant, p := s.tenantPool(w, q)
+	if p == nil {
 		return
 	}
 	fanout, err := intParam(q.Get("fanout"), 64)
@@ -388,24 +383,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		for i := range fns {
 			fns[i] = fanJob(fanout, work)
 		}
-		var completed int
-		var firstErr error
-		for _, err := range p.SubmitBatch(r.Context(), fns) {
-			if err == nil {
-				completed++
-			} else if firstErr == nil {
-				firstErr = err
-			}
-		}
+		completed, firstErr := tally(p.SubmitBatch(r.Context(), fns))
 		if completed == 0 {
-			switch {
-			case errors.Is(firstErr, serve.ErrQueueFull), errors.Is(firstErr, serve.ErrOverloaded):
-				http.Error(w, firstErr.Error(), http.StatusTooManyRequests)
-			case errors.Is(firstErr, serve.ErrDraining), errors.Is(firstErr, serve.ErrDiscarded):
-				http.Error(w, firstErr.Error(), http.StatusServiceUnavailable)
-			default: // context cancellation: the client went away
-				http.Error(w, firstErr.Error(), http.StatusRequestTimeout)
-			}
+			refuse(w, firstErr)
 			return
 		}
 		writeJSON(w, http.StatusOK, submitReply{
@@ -416,20 +396,56 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jb := serve.Job{Fn: fanJob(fanout, work), Class: class, Deadline: deadline}
-	switch err := p.SubmitJob(r.Context(), jb); {
-	case err == nil:
-		writeJSON(w, http.StatusOK, submitReply{
-			Tenant: tenant, Fanout: fanout, Work: work,
-			LatencyNS: time.Since(start).Nanoseconds(),
-		})
+	if err := p.SubmitJob(r.Context(), jb); err != nil {
+		refuse(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, submitReply{
+		Tenant: tenant, Fanout: fanout, Work: work,
+		LatencyNS: time.Since(start).Nanoseconds(),
+	})
+}
+
+// tenantPool resolves the tenant= parameter (default: the first tenant) to
+// its pool. An unknown tenant is answered 404 here and returns a nil pool.
+func (s *server) tenantPool(w http.ResponseWriter, q url.Values) (string, *serve.Pool) {
+	tenant := q.Get("tenant")
+	if tenant == "" {
+		tenant = s.names[0]
+	}
+	p, ok := s.pools[tenant]
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown tenant %q", tenant), http.StatusNotFound)
+		return tenant, nil
+	}
+	return tenant, p
+}
+
+// tally counts the entries that completed and returns the first error.
+func tally(errs []error) (completed int, first error) {
+	for _, err := range errs {
+		if err == nil {
+			completed++
+		} else if first == nil {
+			first = err
+		}
+	}
+	return completed, first
+}
+
+// refuse answers a submission nothing of which completed: backpressure
+// (full queue, shed ladder, unmeetable deadline) is 429, a pool that is
+// going away 503, anything else the client's own context.
+func refuse(w http.ResponseWriter, err error) {
+	status := http.StatusRequestTimeout // context cancellation: the client went away
+	switch {
 	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrOverloaded),
 		errors.Is(err, serve.ErrDeadline):
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
+		status = http.StatusTooManyRequests
 	case errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrDiscarded):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default: // context cancellation: the client went away
-		http.Error(w, err.Error(), http.StatusRequestTimeout)
+		status = http.StatusServiceUnavailable
 	}
+	http.Error(w, err.Error(), status)
 }
 
 // classDeadlineParams parses the shared class= and deadline= query
@@ -471,13 +487,8 @@ func (s *server) handleSubmitDAG(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	tenant := q.Get("tenant")
-	if tenant == "" {
-		tenant = s.names[0]
-	}
-	p, ok := s.pools[tenant]
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown tenant %q", tenant), http.StatusNotFound)
+	tenant, p := s.tenantPool(w, q)
+	if p == nil {
 		return
 	}
 	name := q.Get("workload")
@@ -519,33 +530,14 @@ func (s *server) handleSubmitDAG(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var completed, cancelled int
-	var firstErr error
-	for _, e := range errs {
-		if e == nil {
-			completed++
-		} else {
-			cancelled++
-			if firstErr == nil {
-				firstErr = e
-			}
-		}
-	}
+	completed, firstErr := tally(errs)
 	if completed == 0 && firstErr != nil {
-		switch {
-		case errors.Is(firstErr, serve.ErrQueueFull), errors.Is(firstErr, serve.ErrOverloaded),
-			errors.Is(firstErr, serve.ErrDeadline):
-			http.Error(w, firstErr.Error(), http.StatusTooManyRequests)
-		case errors.Is(firstErr, serve.ErrDraining), errors.Is(firstErr, serve.ErrDiscarded):
-			http.Error(w, firstErr.Error(), http.StatusServiceUnavailable)
-		default: // context cancellation: the client went away
-			http.Error(w, firstErr.Error(), http.StatusRequestTimeout)
-		}
+		refuse(w, firstErr)
 		return
 	}
 	writeJSON(w, http.StatusOK, submitDAGReply{
 		Tenant: tenant, Workload: name, Nodes: len(nodes),
-		Completed: completed, Cancelled: cancelled,
+		Completed: completed, Cancelled: len(nodes) - completed,
 		LatencyNS: time.Since(start).Nanoseconds(),
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -95,6 +96,11 @@ type View struct {
 	Rounds  int64        `json:"rounds"`
 	BadSigs int64        `json:"bad_sigs,omitempty"`
 }
+
+// maxWireBody bounds every body this package reads off a socket: gossip
+// posts and replies, /cluster documents, routed submit bodies. A full
+// record set for a few hundred peers is tens of kilobytes.
+const maxWireBody = 1 << 20
 
 // gossipMsg is the anti-entropy exchange body: the sender's full record
 // set. The receiver merges it and replies with its own.
@@ -300,7 +306,7 @@ func (n *Node) exchange(addr string, msg *gossipMsg) {
 		return
 	}
 	var reply gossipMsg
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxWireBody)).Decode(&reply); err != nil {
 		n.exchFail.Add(1)
 		return
 	}
@@ -451,7 +457,7 @@ func (n *Node) GossipHandler() http.HandlerFunc {
 			return
 		}
 		var msg gossipMsg
-		if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBody)).Decode(&msg); err != nil {
 			http.Error(w, "bad gossip body", http.StatusBadRequest)
 			return
 		}

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,4 +188,63 @@ func TestBadSignatureRejected(t *testing.T) {
 	if st := n1.PeerState(n2.ID()); st != "" {
 		t.Fatalf("forged peer admitted with state %q", st)
 	}
+}
+
+// manyRecords builds n unsigned peer records with distinct ids.
+func manyRecords(n int, pad string) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{ID: fmt.Sprintf("peer-%03d%s", i, pad), Addr: fmt.Sprintf("http://127.0.0.1:1/%d", i),
+			Role: RoleServe, Epoch: 1, Heartbeat: 1}
+	}
+	return recs
+}
+
+func postGossip(t *testing.T, url string, msg gossipMsg) *http.Response {
+	t.Helper()
+	body, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/gossip", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// TestGossipBodyBounded pins the size bound on both directions of the
+// exchange: an oversized POST is refused without touching the membership
+// table, and a realistic 64-peer record set still merges — through the
+// handler and through the reply path of a live exchange.
+func TestGossipBodyBounded(t *testing.T) {
+	n1, ts1 := testNode(t, "", nil, nil, nil)
+	n1.Start()
+	before := len(n1.View().Peers)
+
+	// Well-formed JSON, 2 MiB of it: every record would merge if read.
+	huge := manyRecords(4096, strings.Repeat("x", 512))
+	resp := postGossip(t, ts1.URL, gossipMsg{From: "flood", Peers: huge})
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("2 MiB gossip POST: status %d, want 4xx", resp.StatusCode)
+	}
+	if got := len(n1.View().Peers); got != before {
+		t.Fatalf("oversized gossip body changed the view: %d -> %d peers", before, got)
+	}
+
+	resp = postGossip(t, ts1.URL, gossipMsg{From: "peer-000", Peers: manyRecords(64, "")})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("64-peer gossip POST: status %d", resp.StatusCode)
+	}
+	if got := len(n1.View().Peers); got != before+64 {
+		t.Fatalf("64-peer exchange merged %d peers, want 64", got-before)
+	}
+
+	// A joining node learns all of them from n1's reply.
+	n2, _ := testNode(t, "", []string{ts1.URL}, nil, nil)
+	n2.Start()
+	waitFor(t, 2*time.Second, "64-peer reply merged", func() bool {
+		return len(n2.View().Peers) >= 64+2
+	})
 }

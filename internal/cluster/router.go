@@ -123,7 +123,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxWireBody))
 	if err != nil {
 		http.Error(w, "bad body", http.StatusBadRequest)
 		return
@@ -246,10 +246,11 @@ func (rt *Router) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(rt.failed.Load()) }, lbl)
 }
 
-// DecodeView parses a /cluster document — shared by palirria-topo's
-// -cluster mode and palirria-load's cluster watch table.
+// DecodeView parses a /cluster document (at most maxWireBody bytes of it) —
+// shared by palirria-topo's -cluster mode and palirria-load's cluster
+// watch table.
 func DecodeView(r io.Reader) (View, error) {
 	var v View
-	err := json.NewDecoder(r).Decode(&v)
+	err := json.NewDecoder(io.LimitReader(r, maxWireBody)).Decode(&v)
 	return v, err
 }

@@ -28,7 +28,7 @@ import (
 // one global word. The credit cell is padded onto its own cache line —
 // producers hammer it while consumers hammer deq — and the shard itself
 // stays policy-free: it only moves integers, the cap invariant lives in
-// the runtime's borrow protocol (see wsrt: reserveUpTo/releaseSlot).
+// the runtime's borrow protocol (see wsrt/ledger.go: reserveUpTo/releaseSlot).
 type Shard[T any] struct {
 	mask   uint64
 	slots  []shardSlot[T]

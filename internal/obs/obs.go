@@ -112,6 +112,22 @@ type Event struct {
 	Label string
 }
 
+// String renders one line of trace output (palirria-sim -trace N).
+func (ev Event) String() string {
+	switch ev.Kind {
+	case KindSteal:
+		return fmt.Sprintf("%12d  %-6s w%-3d <- w%-3d %s", ev.TS, ev.Kind, ev.Worker, ev.Peer, ev.Label)
+	case KindProbeFail:
+		return fmt.Sprintf("%12d  %-9s w%-3d -> w%-3d", ev.TS, ev.Kind, ev.Worker, ev.Peer)
+	case KindGrant:
+		return fmt.Sprintf("%12d  %-6s %d workers", ev.TS, ev.Kind, ev.Arg)
+	case KindQuantum:
+		return fmt.Sprintf("%12d  %-7s %d desired", ev.TS, ev.Kind, ev.Arg)
+	default:
+		return fmt.Sprintf("%12d  %-6s w%-3d %s", ev.TS, ev.Kind, ev.Worker, ev.Label)
+	}
+}
+
 // Tracer collects events from many rings plus the per-quantum estimator
 // snapshots. Rings are registered once (at worker creation, before
 // emission starts); registration and snapshot recording take a mutex,

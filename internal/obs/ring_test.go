@@ -191,12 +191,46 @@ func TestTracerSnapshots(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := Kind(0); k < NumKinds; k++ {
-		if s := k.String(); s == "" || s[0] == 'K' {
-			t.Fatalf("Kind(%d).String() = %q", k, s)
+	// The names are wire and CLI vocabulary (Chrome event names, stream
+	// pump details, palirria-sim -trace lines): pin every one.
+	names := map[Kind]string{
+		KindSpawn: "spawn", KindSteal: "steal", KindProbeFail: "probefail",
+		KindTaskDone: "done", KindBlock: "block", KindGrant: "grant",
+		KindRetire: "retire", KindQuantum: "quantum", KindPark: "park",
+	}
+	if len(names) != int(NumKinds) {
+		t.Fatalf("%d kinds named, NumKinds = %d", len(names), NumKinds)
+	}
+	for k, want := range names {
+		if s := k.String(); s != want {
+			t.Fatalf("Kind(%d).String() = %q, want %q", k, s, want)
 		}
 	}
 	if s := Kind(200).String(); s != "Kind(200)" {
 		t.Fatalf("unknown kind = %q", s)
+	}
+}
+
+// TestEventString pins the one-line rendering palirria-sim -trace prints.
+func TestEventString(t *testing.T) {
+	cases := []struct {
+		ev   Event
+		want string
+	}{
+		{Event{TS: 987330, Kind: KindTaskDone, Worker: 12, Peer: NoWorker, Label: "fib(19)"},
+			"      987330  done   w12  fib(19)"},
+		{Event{TS: 987329, Kind: KindProbeFail, Worker: 14, Peer: 5},
+			"      987329  probefail w14  -> w5  "},
+		{Event{TS: 42, Kind: KindSteal, Worker: 3, Peer: 20, Label: "sort"},
+			"          42  steal  w3   <- w20  sort"},
+		{Event{TS: 7, Kind: KindGrant, Worker: NoWorker, Peer: NoWorker, Arg: 12},
+			"           7  grant  12 workers"},
+		{Event{TS: 7, Kind: KindQuantum, Worker: NoWorker, Peer: NoWorker, Arg: 20},
+			"           7  quantum 20 desired"},
+	}
+	for _, c := range cases {
+		if got := c.ev.String(); got != c.want {
+			t.Errorf("%v event renders %q, want %q", c.ev.Kind, got, c.want)
+		}
 	}
 }

@@ -215,7 +215,7 @@ func TestPoolPriorityStarvationHammer(t *testing.T) {
 			// at and the high class sails through. pinned is only ever
 			// touched from this goroutine (the 1h quantum keeps the helper
 			// quiet), so the write is race-free.
-			p.pinned = p.cfg.ShedQuanta - 1
+			p.ladder.pinned = p.cfg.ShedQuanta - 1
 			pinQuantum(p)
 			continue
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"palirria/internal/obs/stream"
 	"palirria/internal/wsrt"
 )
 
@@ -12,7 +11,6 @@ import (
 // pool job plus the graph bookkeeping that releases or cancels it.
 type dagNode struct {
 	j       *job
-	class   Class
 	wrapped wsrt.Func
 	onDone  func()
 	// indeg counts unfinished predecessors; the last terminal predecessor
@@ -37,15 +35,17 @@ type dag struct {
 }
 
 // validateDAG checks dependency indices and acyclicity (Kahn), returning
-// each node's initial indegree.
-func validateDAG(nodes []DAGNode) ([]int32, error) {
-	indeg := make([]int32, len(nodes))
+// each node's initial indegree and successor list.
+func validateDAG(nodes []DAGNode) (indeg []int32, succs [][]int, err error) {
+	indeg = make([]int32, len(nodes))
+	succs = make([][]int, len(nodes))
 	for i, n := range nodes {
 		for _, d := range n.Deps {
 			if d < 0 || d >= len(nodes) {
-				return nil, ErrBadDAG
+				return nil, nil, ErrBadDAG
 			}
 			indeg[i]++
+			succs[d] = append(succs[d], i)
 		}
 	}
 	// Kahn: repeatedly release zero-indegree nodes; leftovers are a cycle.
@@ -57,12 +57,6 @@ func validateDAG(nodes []DAGNode) ([]int32, error) {
 		}
 	}
 	seen := 0
-	succs := make([][]int, len(nodes))
-	for i, n := range nodes {
-		for _, d := range n.Deps {
-			succs[d] = append(succs[d], i)
-		}
-	}
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -74,9 +68,9 @@ func validateDAG(nodes []DAGNode) ([]int32, error) {
 		}
 	}
 	if seen != len(nodes) {
-		return nil, ErrBadDAG
+		return nil, nil, ErrBadDAG
 	}
-	return indeg, nil
+	return indeg, succs, nil
 }
 
 // SubmitDAG admits a job graph as one unit and waits for every node. The
@@ -100,81 +94,42 @@ func (p *Pool) SubmitDAG(ctx context.Context, nodes []DAGNode) ([]error, error) 
 	if len(nodes) == 0 {
 		return nil, nil
 	}
-	indeg, err := validateDAG(nodes)
+	indeg, succs, err := validateDAG(nodes)
 	if err != nil {
 		return nil, err
 	}
 	errs := make([]error, len(nodes))
-	fill := func(err error) []error {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	if p.state.Load() != poolAccepting {
-		return fill(ErrDraining), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fill(err), nil
+	if err := p.open(ctx); err != nil {
+		return fillErrs(errs, err), nil
 	}
 	maxClass := ClassLow
 	for _, n := range nodes {
-		if c := n.Class.clamp(); c > maxClass {
-			maxClass = c
-		}
+		maxClass = max(maxClass, n.Class.clamp())
 	}
+	// The unit verdict. A refused graph is refused node by node: each one
+	// is a refused job on the counters, the class ledger and the stream.
 	lvl := p.shedLevel.Load()
-	if lvl > int32(maxClass) {
-		p.rejectedShed.Add(int64(len(nodes)))
-		for _, n := range nodes {
-			c := n.Class.clamp()
-			p.classShed[c].Add(1)
-			p.publishEv(stream.Event{Kind: stream.KindShed, Reason: "shed",
-				Detail: c.String(), Arg: int64(lvl)})
-		}
-		return fill(ErrOverloaded), nil
+	var verdict error
+	arg := int64(lvl)
+	for i := 0; i < len(nodes) && verdict == nil; i++ {
+		arg, verdict = p.judge(maxClass, nodes[i].Deadline, lvl)
 	}
-	for _, n := range nodes {
-		if wait, late := p.missesDeadline(n.Deadline); late {
-			p.rejectedDeadline.Add(int64(len(nodes)))
-			for _, m := range nodes {
-				p.classShed[m.Class.clamp()].Add(1)
-			}
-			p.publishEv(stream.Event{Kind: stream.KindDeadlineShed, Reason: "deadline",
-				Detail: n.Class.clamp().String(), Arg: wait})
-			return fill(ErrDeadline), nil
-		}
+	if verdict == nil {
+		verdict = p.takeSlots(len(nodes))
 	}
-	// All-or-nothing slot acquisition: a partially admitted graph would
-	// deadlock against itself when the missing nodes are predecessors.
-	for i := range nodes {
-		select {
-		case p.slots <- struct{}{}:
-		default:
-			for k := 0; k < i; k++ {
-				<-p.slots
-			}
-			p.rejectedFull.Add(int64(len(nodes)))
-			for _, n := range nodes {
-				p.publishEv(stream.Event{Kind: stream.KindShed, Reason: "full",
-					Detail: n.Class.clamp().String(), Arg: int64(lvl)})
-			}
-			return fill(ErrQueueFull), nil
+	if verdict != nil {
+		for i, n := range nodes {
+			errs[i] = p.refuse(verdict, n.Class.clamp(), arg)
 		}
+		return errs, nil
 	}
 
 	d := &dag{p: p, nodes: make([]*dagNode, len(nodes))}
 	for i, n := range nodes {
-		class := n.Class.clamp()
-		j, wrapped, onDone := p.prepare(n.Fn, class)
-		dn := &dagNode{j: j, class: class, wrapped: wrapped, onDone: onDone}
+		j, wrapped, onDone := p.prepare(n.Fn, n.Class.clamp())
+		dn := &dagNode{j: j, wrapped: wrapped, onDone: onDone, succs: succs[i]}
 		dn.indeg.Store(indeg[i])
 		d.nodes[i] = dn
-	}
-	for i, n := range nodes {
-		for _, dep := range n.Deps {
-			d.nodes[dep].succs = append(d.nodes[dep].succs, i)
-		}
 	}
 	// Every node is on the books from here: each one's terminal
 	// accounting (onDone) fires exactly once — by a worker, by the
@@ -182,11 +137,8 @@ func (p *Pool) SubmitDAG(ctx context.Context, nodes []DAGNode) ([]error, error) 
 	// whole graph admitted now preserves the conservation identity
 	// Admitted == Completed + Cancelled at drain.
 	p.inflight.Add(int64(len(nodes)))
-	p.admitted.Add(int64(len(nodes)))
 	for _, dn := range d.nodes {
-		p.classAdmitted[dn.class].Add(1)
-		p.publishEv(stream.Event{Kind: stream.KindAdmitted, Job: dn.j.id,
-			Detail: dn.class.String(), Arg: int64(lvl)})
+		p.book(dn.j, lvl)
 	}
 	for i, dn := range d.nodes {
 		if dn.indeg.Load() == 0 {

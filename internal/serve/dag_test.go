@@ -5,7 +5,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"palirria/internal/obs/stream"
 	"palirria/internal/topo"
 	"palirria/internal/wsrt"
 )
@@ -206,4 +208,54 @@ func TestSubmitDAGCancelPropagation(t *testing.T) {
 			st.Completed, st.Cancelled)
 	}
 	drain(t, p)
+}
+
+// TestSubmitDAGDeadlineRefusalCountsPerNode pins the stream-equals-ledger
+// identity for a graph refused on a deadline: the refusal is booked once
+// per node on the cause counter and the class ledger, so the hub must carry
+// one deadline-shed event per node too — not one for the whole graph.
+func TestSubmitDAGDeadlineRefusalCountsPerNode(t *testing.T) {
+	hub := stream.NewHub()
+	sub := hub.Subscribe(stream.SubOptions{Buf: 64,
+		Kinds: []stream.Kind{stream.KindDeadlineShed}})
+	p := quietPool(t, Config{Name: "t", QueueCap: 8, Events: hub})
+	body := func(c *wsrt.Ctx) { t.Error("a node of a refused graph ran") }
+	nodes := []DAGNode{
+		{Fn: body, Class: ClassHigh, Deadline: time.Now().Add(-time.Second)},
+		{Fn: body, Deps: []int{0}},
+		{Fn: body, Deps: []int{1}},
+	}
+	errs, err := p.SubmitDAG(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if !errors.Is(e, ErrDeadline) {
+			t.Fatalf("node %d: %v, want ErrDeadline", i, e)
+		}
+	}
+	st := p.Stats()
+	var classShed int64
+	for _, cs := range st.ByClass {
+		classShed += cs.Shed
+	}
+	if st.RejectedDeadline != 3 || classShed != 3 || st.Admitted != 0 {
+		t.Fatalf("rejected-deadline %d / class shed %d / admitted %d, want 3/3/0",
+			st.RejectedDeadline, classShed, st.Admitted)
+	}
+	if len(p.slots) != 0 {
+		t.Fatalf("refused graph holds %d queue slots", len(p.slots))
+	}
+	drain(t, p)
+	sub.Close()
+	var events int64
+	for ev := range sub.Events() {
+		if ev.Kind == stream.KindDeadlineShed {
+			events++
+		}
+	}
+	if events != classShed {
+		t.Fatalf("deadline-shed events = %d, class-shed ledger = %d: stream and ledger disagree",
+			events, classShed)
+	}
 }

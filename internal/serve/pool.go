@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +60,8 @@ const (
 type job struct {
 	id    uint64
 	class Class
+	// idx is the job's position in an independent-entries submission.
+	idx   int
 	state atomic.Int32
 	done  chan struct{}
 }
@@ -70,12 +71,11 @@ type job struct {
 type Pool struct {
 	cfg Config
 	rt  *wsrt.Runtime
-	hub *stream.Hub // nil disables streaming
 
-	// submitBatch is the runtime hand-off used by SubmitBatch — normally
-	// rt.SubmitBatch, replaceable by regression tests that pin the pool's
-	// admitted accounting against both partial-acceptance shapes of the
-	// wsrt contract: (n, ErrSubmitQueueFull) and (n>0, ErrClosed).
+	// submitBatch is the single runtime hand-off for independent entries —
+	// normally rt.SubmitBatch, replaceable by regression tests that pin the
+	// pool's admitted accounting against both partial-acceptance shapes of
+	// the wsrt contract: (n, ErrSubmitQueueFull) and (n>0, ErrClosed).
 	submitBatch func([]wsrt.Job) (int, error)
 
 	// jobSeq hands out the per-pool job ids carried on stream events.
@@ -89,15 +89,14 @@ type Pool struct {
 	inflight atomic.Int64
 	running  atomic.Int64
 
-	// shedding is the overload latch; pinned counts consecutive quanta of
-	// desire == capacity and is touched only by the helper goroutine.
-	// shedLevel is the ladder position derived from pinned: 0 admits
-	// everything, level L sheds every class below L (low at 1, normal at
-	// 2, high at 3) — one more class per further ShedQuanta pinned quanta
-	// while the queue stays saturated. shedding mirrors shedLevel > 0.
-	shedding  atomic.Bool
+	// ladder is the overload ratchet, stepped once per quantum and touched
+	// only by the helper goroutine; shedLevel is the level it last
+	// returned, published for the admission paths (0 admits everything,
+	// level L sheds every class below L) and shedding mirrors
+	// shedLevel > 0.
+	ladder    shedLadder
 	shedLevel atomic.Int32
-	pinned    int
+	shedding  atomic.Bool
 
 	lastDesire atomic.Int64
 	peakDesire atomic.Int64
@@ -119,9 +118,8 @@ type Pool struct {
 
 	// latHist is always maintained — deadline admission predicts the
 	// queue wait from its p99 — but its quantiles surface in Stats only
-	// when a metrics registry asked for them (latExported), so a pool
-	// without Metrics keeps reporting zero quantiles to /status and the
-	// gossip layer exactly as before the histogram became always-on.
+	// when a metrics registry asked for them (latExported): a pool without
+	// Metrics reports zero quantiles to /status and the gossip layer.
 	latHist     *obs.Histogram
 	latExported bool
 
@@ -129,9 +127,8 @@ type Pool struct {
 	drainedCh chan struct{}
 	// idleCh is signalled (buffered, coalescing) whenever inflight drops
 	// to zero, so Drain waits event-driven instead of polling.
-	idleCh  chan struct{}
-	finalMu sync.Mutex
-	final   *wsrt.Report
+	idleCh chan struct{}
+	final  atomic.Pointer[wsrt.Report]
 }
 
 // New builds the pool and starts its runtime in persistent mode. The pool
@@ -168,8 +165,9 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg:       cfg,
-		hub:       cfg.Events,
 		slots:     make(chan struct{}, cfg.QueueCap),
+		latHist:   obs.NewHistogram(nil),
+		ladder:    shedLadder{shedQuanta: cfg.ShedQuanta, queueCap: cfg.QueueCap},
 		drainedCh: make(chan struct{}),
 		idleCh:    make(chan struct{}, 1),
 	}
@@ -189,12 +187,6 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Metrics != nil {
 		p.registerMetrics(cfg.Metrics)
 	}
-	if p.latHist == nil {
-		// Deadline admission predicts the queue wait from the observed
-		// submit-to-start p99, so the histogram is maintained even when no
-		// metrics registry asked for it.
-		p.latHist = obs.NewHistogram(nil)
-	}
 	if err := rt.Start(); err != nil {
 		return nil, err
 	}
@@ -204,336 +196,39 @@ func New(cfg Config) (*Pool, error) {
 // Name returns the pool's label.
 func (p *Pool) Name() string { return p.cfg.Name }
 
-// publish fans one lifecycle event onto the pool's hub (no-op without
-// one). Hub publishing never blocks, so calling this from Submit, the
-// job callbacks, and the helper goroutine costs a few atomics at most.
-func (p *Pool) publish(kind stream.Kind, jobID uint64, reason string) {
-	if p.hub == nil {
-		return
-	}
-	p.hub.Publish(stream.Event{Kind: kind, Pool: p.cfg.Name, Job: jobID, Reason: reason})
-}
-
-// publishEv fans a pre-built event onto the hub, stamping the pool label
-// — the variant for events that carry class/ladder fields.
+// publishEv fans one event onto the pool's hub, stamping the pool label
+// (no-op without a hub). Hub publishing never blocks, so calling this from
+// Submit, the job callbacks and the helper goroutine costs a few atomics.
 func (p *Pool) publishEv(ev stream.Event) {
-	if p.hub == nil {
+	if p.cfg.Events == nil {
 		return
 	}
 	ev.Pool = p.cfg.Name
-	p.hub.Publish(ev)
+	p.cfg.Events.Publish(ev)
 }
 
 // noteQuantum is the pool's estimator tap, invoked once per quantum on
-// the runtime's helper goroutine. It maintains the overload latch: armed
-// after ShedQuanta consecutive quanta of filtered desire pinned at the
-// maximum grantable allotment with a saturated queue, released as soon as
-// desire drops below capacity.
+// the runtime's helper goroutine: it publishes the quantum digest, tracks
+// the desire peak for takeBid, steps the shed ladder and stores the level
+// for the admission paths to read.
 func (p *Pool) noteQuantum(q wsrt.QuantumInfo) {
 	p.lastDesire.Store(int64(q.Filtered))
-	if p.hub != nil {
-		p.hub.Publish(stream.Event{
-			Kind:     stream.KindQuantum,
-			Pool:     p.cfg.Name,
-			Raw:      q.Raw,
-			Desire:   q.Filtered,
-			Granted:  q.Granted,
-			Capacity: q.Capacity,
-		})
-	}
+	p.publishEv(stream.Event{
+		Kind:     stream.KindQuantum,
+		Raw:      q.Raw,
+		Desire:   q.Filtered,
+		Granted:  q.Granted,
+		Capacity: q.Capacity,
+	})
 	for {
 		peak := p.peakDesire.Load()
 		if int64(q.Filtered) <= peak || p.peakDesire.CompareAndSwap(peak, int64(q.Filtered)) {
 			break
 		}
 	}
-	if q.Filtered >= q.Capacity {
-		p.pinned++
-	} else {
-		p.pinned = 0
-		p.shedLevel.Store(0)
-		p.shedding.Store(false)
-	}
-	if p.pinned >= p.cfg.ShedQuanta && len(p.slots) >= p.cfg.QueueCap {
-		// Ladder escalation: one more class is shed per further ShedQuanta
-		// pinned quanta with the queue still saturated. The level only
-		// ratchets up here — partially drained queues hold the latch (the
-		// hysteresis the single-latch design had) until desire drops below
-		// capacity or the pool drains empty.
-		lvl := int32(p.pinned / p.cfg.ShedQuanta)
-		if lvl > int32(NumClasses) {
-			lvl = int32(NumClasses)
-		}
-		if lvl > p.shedLevel.Load() {
-			p.shedLevel.Store(lvl)
-		}
-		p.shedding.Store(true)
-	} else if p.shedding.Load() && len(p.slots) == 0 {
-		// A pool whose minimum allotment equals its capacity never sees
-		// desire drop below capacity, so the desire-based release above is
-		// unreachable for it; a fully drained pool is unambiguous recovery.
-		p.pinned = 0
-		p.shedLevel.Store(0)
-		p.shedding.Store(false)
-	}
-}
-
-// Submit admits fn as one job and waits for it. It returns nil once the
-// job (and every task it spawned) completed, or:
-//
-//   - ErrDraining when the pool no longer admits work;
-//   - ErrOverloaded while the estimator-driven shed latch is armed;
-//   - ErrQueueFull when the bounded admission queue is at capacity;
-//   - ctx.Err() when the context expires — a job that has not started is
-//     skipped entirely; a job already running completes in the background
-//     (cooperative model: a fork/join body cannot be preempted) and is
-//     still counted and drained;
-//   - ErrDiscarded when the pool shut down before the job ran.
-//
-// Submit is SubmitJob with the zero Job: low priority, no deadline.
-func (p *Pool) Submit(ctx context.Context, fn wsrt.Func) error {
-	return p.SubmitJob(ctx, Job{Fn: fn})
-}
-
-// SubmitJob admits one classed, optionally deadlined job and waits for
-// it. Beyond Submit's contract it can also return:
-//
-//   - ErrOverloaded when the shed ladder has reached the job's class
-//     (low-class work is shed first, high-class last);
-//   - ErrDeadline when the predicted submit-to-start wait (observed p99
-//     scaled by the estimator's overload ratio) would miss Job.Deadline.
-func (p *Pool) SubmitJob(ctx context.Context, jb Job) error {
-	if p.state.Load() != poolAccepting {
-		return ErrDraining
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	class := jb.Class.clamp()
-	// The ladder level is sampled once and stamped on the decision's
-	// stream event (Detail: class, Arg: level), so an event log totally
-	// ordered by hub sequence can audit class ordering exactly: a "shed"
-	// rejection always carries Arg > class, an admission Arg <= class.
-	lvl := p.shedLevel.Load()
-	if lvl > int32(class) {
-		p.rejectedShed.Add(1)
-		p.classShed[class].Add(1)
-		p.publishEv(stream.Event{Kind: stream.KindShed, Reason: "shed",
-			Detail: class.String(), Arg: int64(lvl)})
-		return ErrOverloaded
-	}
-	if wait, late := p.missesDeadline(jb.Deadline); late {
-		p.rejectedDeadline.Add(1)
-		p.classShed[class].Add(1)
-		p.publishEv(stream.Event{Kind: stream.KindDeadlineShed, Reason: "deadline",
-			Detail: class.String(), Arg: wait})
-		return ErrDeadline
-	}
-	select {
-	case p.slots <- struct{}{}:
-	default:
-		p.rejectedFull.Add(1)
-		p.publishEv(stream.Event{Kind: stream.KindShed, Reason: "full",
-			Detail: class.String(), Arg: int64(lvl)})
-		return ErrQueueFull
-	}
-
-	j, wrapped, onDone := p.prepare(jb.Fn, class)
-	p.inflight.Add(1)
-	if err := p.rt.Submit(wrapped, onDone); err != nil {
-		if p.inflight.Add(-1) == 0 {
-			p.noteIdle()
-		}
-		<-p.slots
-		if errors.Is(err, wsrt.ErrClosed) {
-			// Lost the race against a concurrent Drain's shutdown.
-			return ErrDraining
-		}
-		return err
-	}
-	// Counted only now that the runtime holds the job: an admitted job is
-	// one whose onDone is guaranteed to fire, so a concurrent Stats scrape
-	// can never see more admissions than completions+cancellations+flight
-	// (the pre-submit increment with post-failure rollback could).
-	p.admitted.Add(1)
-	p.classAdmitted[class].Add(1)
-	// Published after the runtime holds the job, matching the admitted
-	// counter; a fast job's started event may therefore precede its
-	// admitted event in stream order.
-	p.publishEv(stream.Event{Kind: stream.KindAdmitted, Job: j.id,
-		Detail: class.String(), Arg: int64(lvl)})
-
-	return p.await(ctx, j)
-}
-
-// missesDeadline predicts the submit-to-start wait for a job admitted now
-// and reports whether it would start after deadline (zero deadlines never
-// miss). The prediction is the observed p99 queue wait scaled by the
-// estimator's overload ratio desire/capacity when desire exceeds capacity
-// — the histogram lags a growing backlog, and the ratio is exactly the
-// signal by which the estimator says the backlog is outgrowing the
-// machine.
-func (p *Pool) missesDeadline(deadline time.Time) (waitNS int64, late bool) {
-	if deadline.IsZero() {
-		return 0, false
-	}
-	est := p.latHist.Quantile(0.99) * 1e9
-	if d, c := p.lastDesire.Load(), p.rt.Capacity(); c > 0 && d > int64(c) {
-		est *= float64(d) / float64(c)
-	}
-	waitNS = int64(est)
-	return waitNS, nowNS()+waitNS > deadline.UnixNano()
-}
-
-// prepare builds one job record with its wrapped body and completion
-// callback — the per-job half of admission, shared by Submit and
-// SubmitBatch. The caller owns the slot and inflight bookkeeping.
-func (p *Pool) prepare(fn wsrt.Func, class Class) (*job, wsrt.Func, func()) {
-	j := &job{id: p.jobSeq.Add(1), class: class, done: make(chan struct{})}
-	submitNS := nowNS()
-	wrapped := func(c *wsrt.Ctx) {
-		if !j.state.CompareAndSwap(jobPending, jobRunning) {
-			return // cancelled while queued
-		}
-		p.running.Add(1)
-		if p.latHist != nil {
-			p.latHist.Observe(float64(nowNS()-submitNS) / 1e9)
-		}
-		p.publish(stream.KindStarted, j.id, "")
-		fn(c)
-	}
-	onDone := func() {
-		// Fires after the job's task tree fully completed — or, for
-		// skipped/discarded jobs, as soon as the runtime flushes them.
-		// The terminal event publishes before the inflight decrement so
-		// that every admitted job's terminal event is on the hub by the
-		// time Drain observes the pool empty.
-		if j.state.CompareAndSwap(jobRunning, jobDone) {
-			p.running.Add(-1)
-			p.completed.Add(1)
-			p.classCompleted[j.class].Add(1)
-			p.publish(stream.KindCompleted, j.id, "")
-		} else {
-			p.cancelled.Add(1)
-			p.publish(stream.KindCancelled, j.id, "")
-		}
-		<-p.slots
-		if p.inflight.Add(-1) == 0 {
-			p.noteIdle()
-		}
-		close(j.done)
-	}
-	return j, wrapped, onDone
-}
-
-// await blocks until j resolves or ctx expires, translating the job state
-// into Submit's error contract.
-func (p *Pool) await(ctx context.Context, j *job) error {
-	select {
-	case <-j.done:
-		if j.state.Load() == jobDone {
-			return nil
-		}
-		return ErrDiscarded
-	case <-ctx.Done():
-		if j.state.CompareAndSwap(jobPending, jobCancelled) {
-			return ctx.Err() // never started; will be skipped when dequeued
-		}
-		// Already running: detach. The job still completes and Drain
-		// still waits for it.
-		return ctx.Err()
-	}
-}
-
-// SubmitBatch admits fns as one batch and waits for the admitted ones,
-// handing them to the runtime through a single wsrt.SubmitBatch call so a
-// wave of arrivals costs one seal-lock acquisition and at most one wakeup
-// per injection shard instead of one each per job. The returned slice is
-// aligned with fns: entry i is nil when job i completed, or carries the
-// same per-job error Submit would have returned (pool-level rejections
-// are applied per entry — a full admission queue rejects the overflow
-// entries and admits the rest). If the whole pool is draining, shedding,
-// or ctx already expired, every entry carries that error.
-func (p *Pool) SubmitBatch(ctx context.Context, fns []wsrt.Func) []error {
-	errs := make([]error, len(fns))
-	fill := func(err error) []error {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	if p.state.Load() != poolAccepting {
-		return fill(ErrDraining)
-	}
-	if err := ctx.Err(); err != nil {
-		return fill(err)
-	}
-	lvl := p.shedLevel.Load()
-	if lvl > int32(ClassLow) {
-		p.rejectedShed.Add(int64(len(fns)))
-		p.classShed[ClassLow].Add(int64(len(fns)))
-		for range fns {
-			p.publishEv(stream.Event{Kind: stream.KindShed, Reason: "shed",
-				Detail: ClassLow.String(), Arg: int64(lvl)})
-		}
-		return fill(ErrOverloaded)
-	}
-	type admittedJob struct {
-		idx int
-		j   *job
-	}
-	var adm []admittedJob
-	batch := make([]wsrt.Job, 0, len(fns))
-	for i, fn := range fns {
-		select {
-		case p.slots <- struct{}{}:
-		default:
-			p.rejectedFull.Add(1)
-			p.publishEv(stream.Event{Kind: stream.KindShed, Reason: "full",
-				Detail: ClassLow.String(), Arg: int64(lvl)})
-			errs[i] = ErrQueueFull
-			continue
-		}
-		j, wrapped, onDone := p.prepare(fn, ClassLow)
-		p.inflight.Add(1)
-		adm = append(adm, admittedJob{idx: i, j: j})
-		batch = append(batch, wsrt.Job{Fn: wrapped, OnDone: onDone})
-	}
-	if len(batch) == 0 {
-		return errs
-	}
-	// Counted and published strictly for the runtime-accepted prefix: a
-	// partial acceptance — (n, ErrSubmitQueueFull) or a mid-batch seal's
-	// (n>0, ErrClosed) — must not inflate admitted past what the runtime
-	// holds (TestPoolBatchAdmittedMatchesRuntimePrefix pins both shapes).
-	n, err := p.submitBatch(batch)
-	p.admitted.Add(int64(n))
-	p.classAdmitted[ClassLow].Add(int64(n))
-	for k := 0; k < n; k++ {
-		p.publishEv(stream.Event{Kind: stream.KindAdmitted, Job: adm[k].j.id,
-			Detail: ClassLow.String(), Arg: int64(lvl)})
-	}
-	// Jobs past the accepted prefix never reached the runtime: unwind
-	// their admission and report the cause.
-	for k := n; k < len(adm); k++ {
-		if p.inflight.Add(-1) == 0 {
-			p.noteIdle()
-		}
-		<-p.slots
-		cause := err
-		if errors.Is(err, wsrt.ErrClosed) {
-			cause = ErrDraining
-		} else if errors.Is(err, wsrt.ErrSubmitQueueFull) {
-			// Unreachable when the pool owns its runtime (New forces
-			// SubmitQueueCap >= QueueCap), but keep the mapping total.
-			cause = ErrQueueFull
-		}
-		errs[adm[k].idx] = cause
-	}
-	for k := 0; k < n; k++ {
-		errs[adm[k].idx] = p.await(ctx, adm[k].j)
-	}
-	return errs
+	lvl := p.ladder.step(q.Filtered, q.Capacity, len(p.slots))
+	p.shedLevel.Store(lvl)
+	p.shedding.Store(lvl > 0)
 }
 
 // noteIdle signals Drain that inflight reached zero. The channel is
@@ -570,9 +265,7 @@ func (p *Pool) Drain(ctx context.Context) error {
 	p.closeOnce.Do(func() {
 		rep, err := p.rt.Shutdown()
 		if err == nil {
-			p.finalMu.Lock()
-			p.final = rep
-			p.finalMu.Unlock()
+			p.final.Store(rep)
 		}
 		p.state.Store(poolClosed)
 		close(p.drainedCh)
@@ -591,9 +284,7 @@ func (p *Pool) Drained() bool { return p.state.Load() == poolClosed }
 // Final returns the runtime's end-of-life report (timeline, decisions,
 // per-worker accounting); nil until the drain completes.
 func (p *Pool) Final() *wsrt.Report {
-	p.finalMu.Lock()
-	defer p.finalMu.Unlock()
-	return p.final
+	return p.final.Load()
 }
 
 // LiveDesire is the filtered desire of the most recent quantum; before
@@ -681,12 +372,7 @@ type ClassStats struct {
 
 // Stats samples the pool.
 func (p *Pool) Stats() Stats {
-	inflight := p.inflight.Load()
-	running := p.running.Load()
-	queued := inflight - running
-	if queued < 0 {
-		queued = 0
-	}
+	inflight, running := p.inflight.Load(), p.running.Load()
 	st := p.state.Load()
 	var p50, p99 float64
 	if p.latExported {
@@ -703,7 +389,7 @@ func (p *Pool) Stats() Stats {
 		RejectedDeadline: p.rejectedDeadline.Load(),
 		InFlight:         inflight,
 		Running:          running,
-		Queued:           queued,
+		Queued:           max(inflight-running, 0),
 		Shedding:         p.shedding.Load(),
 		ShedLevel:        p.shedLevel.Load(),
 		Draining:         st == poolDraining,
@@ -782,13 +468,7 @@ func (p *Pool) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("palirria_pool_inflight_jobs", "Jobs resident in the pool (queued + running).",
 		count(&p.inflight), lbl)
 	reg.GaugeFunc("palirria_pool_queued_jobs", "Jobs admitted but not yet started.",
-		func() float64 {
-			q := p.inflight.Load() - p.running.Load()
-			if q < 0 {
-				q = 0
-			}
-			return float64(q)
-		}, lbl)
+		func() float64 { return float64(max(p.inflight.Load()-p.running.Load(), 0)) }, lbl)
 	reg.GaugeFunc("palirria_pool_shedding", "1 while the overload latch is armed.",
 		func() float64 {
 			if p.shedding.Load() {

@@ -182,7 +182,7 @@ func TestPoolShedLatch(t *testing.T) {
 		}()
 	}
 	started.Wait()
-	p.pinned = 0
+	p.ladder.pinned = 0
 	for i := 0; i < 2; i++ {
 		p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
 	}

@@ -83,7 +83,7 @@ type Result struct {
 	// Events counts processed simulator events (engine health metric).
 	Events int64
 	// Trace holds the newest scheduler events when tracing was enabled.
-	Trace []TraceEvent
+	Trace []obs.Event
 	// Obs is the drained observability trace (nil unless tracing was
 	// enabled); feed it to obs.WriteChrome for a Perfetto-loadable file.
 	Obs *obs.TraceData
@@ -351,7 +351,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if e.tracer != nil {
 		res.Obs = e.tracer.Drain()
-		res.Trace = eventsFromObs(res.Obs.Events)
+		res.Trace = res.Obs.Events
 		res.EstimatorTrace = res.Obs.Snapshots
 	}
 	return res, nil
@@ -655,11 +655,11 @@ func (e *engine) quantumTick() {
 				Desired:   desired,
 				Granted:   next.Size(),
 			})
-			e.trace(TraceQuantum, j.source, topo.NoCore, desired, j.name)
+			e.trace(obs.KindQuantum, j.source, topo.NoCore, desired, j.name)
 			// Every quantum, even unchanged: the ring keeps only the newest
 			// events, so the Chrome allotment counter needs samples inside
 			// whatever window survives a long run.
-			e.trace(TraceGrant, j.source, topo.NoCore, next.Size(), j.name)
+			e.trace(obs.KindGrant, j.source, topo.NoCore, next.Size(), j.name)
 			if e.introspect {
 				e.tracer.RecordSnapshot(e.estimatorSnapshot(j, snap, prev.Size(), next.Size()))
 			}
@@ -712,7 +712,7 @@ func (e *engine) applyGrant(j *jobState, prev, next *topo.Allotment) {
 	}
 	e.rebuildPolicy(j)
 	j.timeline.Record(e.now, j.granted.Size())
-	e.trace(TraceGrant, j.source, topo.NoCore, j.granted.Size(), j.name)
+	e.trace(obs.KindGrant, j.source, topo.NoCore, j.granted.Size(), j.name)
 }
 
 // snapshot builds the estimator's view of job j at the current boundary.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"palirria/internal/core"
+	"palirria/internal/obs"
 	"palirria/internal/task"
 	"palirria/internal/topo"
 )
@@ -62,7 +63,7 @@ func TestScriptedShrinkDrainsAndRetires(t *testing.T) {
 	}
 	sawRetire := false
 	for _, ev := range res.Trace {
-		if ev.Kind == TraceRetire {
+		if ev.Kind == obs.KindRetire {
 			sawRetire = true
 		}
 	}

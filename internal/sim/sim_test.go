@@ -6,6 +6,7 @@ import (
 	"palirria/internal/asteal"
 	"palirria/internal/core"
 	"palirria/internal/metrics"
+	"palirria/internal/obs"
 	"palirria/internal/task"
 	"palirria/internal/topo"
 	"palirria/internal/workload"
@@ -546,13 +547,13 @@ func TestEventTrace(t *testing.T) {
 	sawSteal := false
 	prev := int64(-1)
 	for _, ev := range res.Trace {
-		if ev.Time < prev {
+		if ev.TS < prev {
 			t.Fatalf("trace out of order at %v", ev)
 		}
-		prev = ev.Time
-		if ev.Kind == TraceSteal {
+		prev = ev.TS
+		if ev.Kind == obs.KindSteal {
 			sawSteal = true
-			if ev.Peer == topo.NoCore {
+			if ev.Peer == obs.NoWorker {
 				t.Fatal("steal event without victim")
 			}
 		}
@@ -567,20 +568,5 @@ func TestEventTrace(t *testing.T) {
 	res2 := mustRun(t, Config{Mesh: m, Source: src, Root: fibRoot(8), InitialDiaspora: 1})
 	if len(res2.Trace) != 0 {
 		t.Fatal("trace recorded while disabled")
-	}
-}
-
-func TestTraceKindStrings(t *testing.T) {
-	kinds := map[TraceKind]string{
-		TraceSpawn: "spawn", TraceSteal: "steal", TraceTaskDone: "done",
-		TraceBlock: "block", TraceGrant: "grant", TraceRetire: "retire",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%d = %q, want %q", k, k.String(), want)
-		}
-	}
-	if TraceKind(99).String() != "TraceKind(99)" {
-		t.Error("unknown kind")
 	}
 }

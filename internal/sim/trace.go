@@ -8,183 +8,22 @@ import (
 	"palirria/internal/topo"
 )
 
-// TraceKind classifies a scheduler trace event. It mirrors obs.Kind; the
-// simulator keeps its own type so existing callers stay source-compatible
-// with topo.CoreID worker fields.
-type TraceKind uint8
-
-const (
-	// TraceSpawn: a task entered a worker's queue.
-	TraceSpawn TraceKind = iota
-	// TraceSteal: a task moved from victim to thief.
-	TraceSteal
-	// TraceTaskDone: a task completed.
-	TraceTaskDone
-	// TraceBlock: a worker blocked at the sync of a stolen child.
-	TraceBlock
-	// TraceGrant: a job's per-quantum allotment grant (possibly
-	// unchanged in size).
-	TraceGrant
-	// TraceRetire: a draining worker exited.
-	TraceRetire
-	// TraceProbeFail: a steal probe found nothing stealable at the victim.
-	TraceProbeFail
-	// TraceQuantum: an estimation quantum boundary.
-	TraceQuantum
-)
-
-// obsKind maps the simulator kind onto the shared observability kind.
-func (k TraceKind) obsKind() obs.Kind {
-	switch k {
-	case TraceSpawn:
-		return obs.KindSpawn
-	case TraceSteal:
-		return obs.KindSteal
-	case TraceTaskDone:
-		return obs.KindTaskDone
-	case TraceBlock:
-		return obs.KindBlock
-	case TraceGrant:
-		return obs.KindGrant
-	case TraceRetire:
-		return obs.KindRetire
-	case TraceProbeFail:
-		return obs.KindProbeFail
-	case TraceQuantum:
-		return obs.KindQuantum
-	}
-	return obs.NumKinds
-}
-
-// kindFromObs is the inverse of obsKind.
-func kindFromObs(k obs.Kind) TraceKind {
-	switch k {
-	case obs.KindSpawn:
-		return TraceSpawn
-	case obs.KindSteal:
-		return TraceSteal
-	case obs.KindTaskDone:
-		return TraceTaskDone
-	case obs.KindBlock:
-		return TraceBlock
-	case obs.KindGrant:
-		return TraceGrant
-	case obs.KindRetire:
-		return TraceRetire
-	case obs.KindProbeFail:
-		return TraceProbeFail
-	}
-	return TraceQuantum
-}
-
-// String names the kind.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceSpawn:
-		return "spawn"
-	case TraceSteal:
-		return "steal"
-	case TraceTaskDone:
-		return "done"
-	case TraceBlock:
-		return "block"
-	case TraceGrant:
-		return "grant"
-	case TraceRetire:
-		return "retire"
-	case TraceProbeFail:
-		return "probefail"
-	case TraceQuantum:
-		return "quantum"
-	}
-	return fmt.Sprintf("TraceKind(%d)", uint8(k))
-}
-
-// TraceEvent is one recorded scheduler event.
-type TraceEvent struct {
-	// Time in cycles.
-	Time int64
-	// Kind of event.
-	Kind TraceKind
-	// Worker is the acting worker (thief for steals).
-	Worker topo.CoreID
-	// Peer is the other party (victim for steals and probes; NoCore
-	// otherwise).
-	Peer topo.CoreID
-	// Arg carries kind-specific data (queue length after a spawn, new
-	// allotment size for grants, desired workers at quantum boundaries).
-	Arg int
-	// Label is the task label where applicable.
-	Label string
-}
-
-// String renders one line of trace output.
-func (ev TraceEvent) String() string {
-	switch ev.Kind {
-	case TraceSteal:
-		return fmt.Sprintf("%12d  %-6s w%-3d <- w%-3d %s", ev.Time, ev.Kind, ev.Worker, ev.Peer, ev.Label)
-	case TraceProbeFail:
-		return fmt.Sprintf("%12d  %-9s w%-3d -> w%-3d", ev.Time, ev.Kind, ev.Worker, ev.Peer)
-	case TraceGrant:
-		return fmt.Sprintf("%12d  %-6s %d workers", ev.Time, ev.Kind, ev.Arg)
-	case TraceQuantum:
-		return fmt.Sprintf("%12d  %-7s %d desired", ev.Time, ev.Kind, ev.Arg)
-	default:
-		return fmt.Sprintf("%12d  %-6s w%-3d %s", ev.Time, ev.Kind, ev.Worker, ev.Label)
-	}
-}
-
-// obsCore converts a topology core id to the observability worker id.
-func obsCore(id topo.CoreID) int32 {
-	if id == topo.NoCore {
-		return obs.NoWorker
-	}
-	return int32(id)
-}
-
-// coreFromObs is the inverse of obsCore.
-func coreFromObs(w int32) topo.CoreID {
-	if w == obs.NoWorker {
-		return topo.NoCore
-	}
-	return topo.CoreID(w)
-}
-
-// eventsFromObs converts a drained observability event stream back to the
-// simulator's trace representation (for Result.Trace).
-func eventsFromObs(events []obs.Event) []TraceEvent {
-	if len(events) == 0 {
-		return nil
-	}
-	out := make([]TraceEvent, len(events))
-	for i, ev := range events {
-		out[i] = TraceEvent{
-			Time:   ev.TS,
-			Kind:   kindFromObs(ev.Kind),
-			Worker: coreFromObs(ev.Worker),
-			Peer:   coreFromObs(ev.Peer),
-			Arg:    int(ev.Arg),
-			Label:  ev.Label,
-		}
-	}
-	return out
-}
-
 // trace records an event if tracing is enabled. The disabled fast path is
-// one nil comparison.
-func (e *engine) trace(kind TraceKind, w, peer topo.CoreID, arg int, label string) {
+// one nil comparison. topo.NoCore and obs.NoWorker are both -1, so core
+// ids convert to obs worker ids with a plain cast.
+func (e *engine) trace(kind obs.Kind, w, peer topo.CoreID, arg int, label string) {
 	if e.ring == nil {
 		return
 	}
 	e.ring.Emit(obs.Event{
-		TS: e.now, Kind: kind.obsKind(),
-		Worker: obsCore(w), Peer: obsCore(peer),
+		TS: e.now, Kind: kind,
+		Worker: int32(w), Peer: int32(peer),
 		Arg: int64(arg), Label: label,
 	})
 }
 
 // WriteTrace renders events to w, one per line.
-func WriteTrace(w io.Writer, events []TraceEvent) {
+func WriteTrace(w io.Writer, events []obs.Event) {
 	for _, ev := range events {
 		fmt.Fprintln(w, ev.String())
 	}

@@ -5,6 +5,7 @@ import (
 
 	"palirria/internal/deque"
 	"palirria/internal/metrics"
+	"palirria/internal/obs"
 	"palirria/internal/task"
 	"palirria/internal/topo"
 )
@@ -152,7 +153,7 @@ func (w *worker) stepRun() {
 				w.maxQueueLen = n
 			}
 			w.stats.Add(metrics.Spawn, e.costs.Spawn)
-			e.trace(TraceSpawn, w.id, topo.NoCore, w.queue.Len(), child.spec.Label)
+			e.trace(obs.KindSpawn, w.id, topo.NoCore, w.queue.Len(), child.spec.Label)
 			e.schedule(w, e.now+e.costs.Spawn)
 			return
 		}
@@ -216,7 +217,7 @@ func (w *worker) handleSync(f *frame) {
 		w.state = wsSteal
 		w.beginStealRound()
 		w.stats.Add(metrics.Sync, e.costs.SyncStolen)
-		e.trace(TraceBlock, w.id, topo.NoCore, 0, c.spec.Label)
+		e.trace(obs.KindBlock, w.id, topo.NoCore, 0, c.spec.Label)
 		e.schedule(w, e.now+e.costs.SyncStolen)
 	}
 }
@@ -226,7 +227,7 @@ func (w *worker) completeFrame(f *frame) {
 	e := w.eng
 	f.done = true
 	w.popFrameStack()
-	e.trace(TraceTaskDone, w.id, topo.NoCore, 0, f.spec.Label)
+	e.trace(obs.KindTaskDone, w.id, topo.NoCore, 0, f.spec.Label)
 
 	if f.isRoot {
 		e.finishJob(w.job)
@@ -292,7 +293,7 @@ func (w *worker) acquireWork() {
 func (w *worker) retire() {
 	w.retired = true
 	w.stats.RetiredAt = w.eng.now
-	w.eng.trace(TraceRetire, w.id, topo.NoCore, 0, "")
+	w.eng.trace(obs.KindRetire, w.id, topo.NoCore, 0, "")
 	// No event scheduled: the worker exits. A later quantum may revoke the
 	// removal and bootstrap it again.
 }
@@ -357,7 +358,7 @@ func (w *worker) stepSteal() {
 			w.stats.Add(metrics.Migration, mig)
 		}
 		w.backoff = 0
-		e.trace(TraceSteal, w.id, victim, 0, f.spec.Label)
+		e.trace(obs.KindSteal, w.id, victim, 0, f.spec.Label)
 		w.pushFrame(f)
 		w.state = wsRun
 		e.schedule(w, e.now+cost+mig)
@@ -373,7 +374,7 @@ func (w *worker) stepSteal() {
 	cost := e.costs.Probe + e.machine.ProbePenalty(w.id, victim)
 	w.stats.FailedProbes++
 	w.stats.Add(metrics.ProbeFail, cost)
-	e.trace(TraceProbeFail, w.id, victim, 0, "")
+	e.trace(obs.KindProbeFail, w.id, victim, 0, "")
 	w.vIdx++
 	if w.vIdx >= len(w.victims) {
 		// Round exhausted: back off exponentially, then retry.

@@ -316,7 +316,7 @@ func TestStrandedJobPickupLatency(t *testing.T) {
 	}
 	done := make(chan struct{})
 	victim.seal.RLock()
-	if rt.reserveUpTo(victim, 1) != 1 {
+	if rt.ledger.reserveUpTo(victim.shard, 1) != 1 {
 		t.Fatal("reservation failed on an idle runtime")
 	}
 	if !victim.shard.Push(&rtTask{fn: func(*Ctx) {}, onDone: func() { close(done) }}) {

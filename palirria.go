@@ -554,7 +554,7 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // SimTraceEvent is one scheduler trace event.
-type SimTraceEvent = sim.TraceEvent
+type SimTraceEvent = obs.Event
 
 // WriteSimTrace renders trace events, one per line.
 func WriteSimTrace(w io.Writer, events []SimTraceEvent) { sim.WriteTrace(w, events) }
