@@ -35,6 +35,34 @@ type chaosNode struct {
 	durable  *stream.Sub
 	durDone  chan struct{}
 	killOnce sync.Once
+
+	// holding is closed once a ?hold=<id> submission is parked in this
+	// node's handler (see runCluster's forced failover).
+	holding  chan struct{}
+	holdOnce sync.Once
+}
+
+// aimedPicker sends the first attempt of the one submission carrying key
+// to the victim and leaves every other decision — that submission's retries
+// included — to the real picker. It turns "a request happened to be picked
+// for the victim just before it died" from a race into a step of the
+// scenario; the failover it provokes is the router's own.
+type aimedPicker struct {
+	cluster.NodePicker
+	key    string
+	victim string
+	view   func() []cluster.PeerStatus
+}
+
+func (a aimedPicker) PickSticky(key string, exclude ...string) (cluster.PeerStatus, error) {
+	if key == a.key && len(exclude) == 0 {
+		for _, p := range a.view() {
+			if p.ID == a.victim {
+				return p, nil
+			}
+		}
+	}
+	return a.NodePicker.PickSticky(key, exclude...)
 }
 
 // newChaosNode builds and starts one serve node.
@@ -60,7 +88,8 @@ func newChaosNode(sc *Script, idx int) (*chaosNode, error) {
 		hub.Close()
 		return nil, err
 	}
-	n := &chaosNode{id: id, pool: pool, hub: hub, addr: "http://" + lis.Addr().String()}
+	n := &chaosNode{id: id, pool: pool, hub: hub, addr: "http://" + lis.Addr().String(),
+		holding: make(chan struct{})}
 
 	// The durable subscriber audits exactly-once terminal events: after
 	// the drain, seen + dropped must equal the pool's admissions.
@@ -108,6 +137,13 @@ func newChaosNode(sc *Script, idx int) (*chaosNode, error) {
 		compute, _ := strconv.ParseInt(r.URL.Query().Get("compute"), 10, 64)
 		if leaves < 1 {
 			leaves = 1
+		}
+		if r.URL.Query().Get("hold") == id {
+			// Stay in flight, holding the connection, until the kill cuts
+			// it; the same submission retried on another node runs normally.
+			n.holdOnce.Do(func() { close(n.holding) })
+			<-r.Context().Done()
+			return
 		}
 		var runs atomic.Int64
 		err := pool.Submit(r.Context(), func(c *wsrt.Ctx) {
@@ -166,8 +202,9 @@ func (n *chaosNode) settle(res *Result) {
 // and an abrupt node kill mid-storm. Invariants on top of the per-pool
 // ledgers: every submission the router accepted (200) completed on some
 // node (zero accepted-job loss), terminal events are exactly-once per
-// pool, and once the router's gossip confirms the kill no further
-// submission is routed to the dead peer.
+// pool, once the router's gossip confirms the kill no further submission
+// is routed to the dead peer, and the submission the scenario holds in
+// flight at the victim is failed over to a survivor unseen by its client.
 func runCluster(sc *Script, res *Result) {
 	nodes := make([]*chaosNode, 0, sc.ClusterNodes)
 	for i := 0; i < sc.ClusterNodes; i++ {
@@ -222,9 +259,14 @@ func runCluster(sc *Script, res *Result) {
 		res.fail("router node: %v", err)
 		return
 	}
+	victim := nodes[sc.KillNode%len(nodes)]
+	const aimKey = "chaos-aimed-at-victim"
 	core, err := cluster.NewRouter(cluster.RouterConfig{
-		Node:    rnode,
-		Picker:  pick.New(rnode.Serveable, pick.Options{BreakFor: 50 * time.Millisecond}),
+		Node: rnode,
+		Picker: aimedPicker{
+			NodePicker: pick.New(rnode.Serveable, pick.Options{BreakFor: 50 * time.Millisecond}),
+			key:        aimKey, victim: victim.id, view: rnode.Serveable,
+		},
 		Retries: sc.RouterRetries,
 		Backoff: time.Millisecond,
 		Client:  &http.Client{Timeout: 30 * time.Second},
@@ -250,10 +292,9 @@ func runCluster(sc *Script, res *Result) {
 		time.Sleep(time.Millisecond)
 	}
 
-	victim := nodes[sc.KillNode%len(nodes)]
 	client := &http.Client{Timeout: 30 * time.Second}
-	post := func(spec JobSpec) (int, error) {
-		url := fmt.Sprintf("%s/submit?leaves=%d&compute=%d", routerURL, spec.Leaves, spec.ComputeNS)
+	postQuery := func(spec JobSpec, extra string) (int, error) {
+		url := fmt.Sprintf("%s/submit?leaves=%d&compute=%d%s", routerURL, spec.Leaves, spec.ComputeNS, extra)
 		resp, err := client.Post(url, "", nil)
 		if err != nil {
 			return 0, err
@@ -261,6 +302,7 @@ func runCluster(sc *Script, res *Result) {
 		resp.Body.Close()
 		return resp.StatusCode, err
 	}
+	post := func(spec JobSpec) (int, error) { return postQuery(spec, "") }
 
 	var attempted, accepted, rejected, failed atomic.Int64
 	start := time.Now()
@@ -289,11 +331,38 @@ func runCluster(sc *Script, res *Result) {
 		}(g)
 	}
 
-	// The abrupt kill, mid-storm.
+	// The abrupt kill, mid-storm — with one submission known to be in flight
+	// at the victim when it happens. Whether a storm submission is there too
+	// depends on where the picker has been sending load and on how soon
+	// gossip notices the death, so the scenario places one itself: aimed at
+	// the victim, parked in its handler, cut by the kill. The router must
+	// fail it over to a survivor without the client noticing.
 	if d := time.Duration(sc.KillAtUS)*time.Microsecond - time.Since(start); d > 0 {
 		time.Sleep(d)
 	}
+	aimedStatus := make(chan int, 1)
+	go func() {
+		status, err := postQuery(JobSpec{Leaves: 2, ComputeNS: 1000}, "&sticky="+aimKey+"&hold="+victim.id)
+		if err != nil {
+			res.fail("aimed submission: router unreachable: %v", err)
+		}
+		aimedStatus <- status
+	}()
+	attempted.Add(1)
+	select {
+	case <-victim.holding:
+	case <-time.After(10 * time.Second):
+		res.fail("aimed submission was not in flight at %s within 10s", victim.id)
+	}
 	victim.kill(res)
+	switch status := <-aimedStatus; {
+	case status == http.StatusOK:
+		accepted.Add(1)
+	case status >= http.StatusInternalServerError:
+		res.fail("the client of the submission in flight at %s saw the kill: status %d", victim.id, status)
+	default:
+		rejected.Add(1)
+	}
 	wg.Wait()
 
 	// Make the dead-peer check non-vacuous: wait for the router's gossip
@@ -338,22 +407,43 @@ func runCluster(sc *Script, res *Result) {
 	}
 
 	// Dead-peer ordering: once the router published peer-dead for the
-	// victim, no later routed event may name it.
-	deadSeen := false
+	// victim, no later routed event may name it. Failover audit: the aimed
+	// submission's trail is a failover away from the victim followed by its
+	// routing to a survivor, and the router's counter is its event log.
+	deadSeen, victimFailovers, aimedRouted := false, 0, false
+	var failovers int64
 	for _, ev := range events {
 		switch ev.Kind {
 		case stream.KindPeerDead:
 			if ev.Node == victim.id {
 				deadSeen = true
 			}
+		case stream.KindFailover:
+			failovers++
+			if ev.Node == victim.id {
+				victimFailovers++
+			}
 		case stream.KindRouted:
 			if deadSeen && ev.Node == victim.id {
 				res.fail("submission routed to %s after its death was confirmed", victim.id)
+			}
+			if ev.Detail == aimKey {
+				aimedRouted = true
+				if ev.Node == victim.id || victimFailovers == 0 {
+					res.fail("aimed submission routed to %s after %d failover(s) from %s: the kill it was in flight for triggered no failover",
+						ev.Node, victimFailovers, victim.id)
+				}
 			}
 		}
 	}
 	if !deadSeen {
 		res.fail("router hub carries no peer-dead event for %s", victim.id)
+	}
+	if !aimedRouted {
+		res.fail("router hub carries no routed event for the submission in flight at %s", victim.id)
+	}
+	if got := core.FailedOver(); got != failovers {
+		res.fail("router counts %d failover(s), its hub published %d", got, failovers)
 	}
 
 	// Cluster-wide conservation and zero accepted-job loss.
@@ -373,9 +463,6 @@ func runCluster(sc *Script, res *Result) {
 	// was lost in the kill, hence >=.
 	if completed < accepted.Load() {
 		res.fail("zero-loss: %d accepted submissions but only %d completions", accepted.Load(), completed)
-	}
-	if core.FailedOver() == 0 {
-		res.fail("the kill triggered no failover")
 	}
 	res.Attempted = attempted.Load()
 	res.Accepted = accepted.Load()

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"palirria/internal/core"
@@ -184,35 +183,107 @@ type MultiResult struct {
 	EstimatorTrace []obs.EstimatorSnapshot
 }
 
-// event is one scheduled worker activation. Each worker has at most one
-// live event; epoch invalidates superseded ones.
-type event struct {
-	time  int64
-	seq   uint64
-	w     *worker
-	epoch uint64
-	// quantum marks the estimator tick (w == nil).
-	quantum bool
+// slot is one entry of the event queue: the next activation of worker id,
+// or of the estimator tick (id == engine.tick). It holds no pointers, so
+// moving it costs no write barrier and the collector never scans the queue.
+type slot struct {
+	at  int64
+	seq uint64
+	id  int32
 }
 
-type eventHeap []*event
+// before orders slots by (time, sequence).
+func (s *slot) before(o *slot) bool {
+	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// slotQueue is an indexed binary min-heap holding at most one slot per id:
+// rescheduling moves the slot, so nothing superseded is ever queued. seq
+// numbers every set call, superseding ones included, so equal-time slots
+// fire in the order they were last scheduled.
+type slotQueue struct {
+	heap []slot
+	// idx[id] is id's position in heap, -1 while not queued.
+	idx []int32
+	seq uint64
+}
+
+func newSlotQueue(ids int) slotQueue {
+	q := slotQueue{heap: make([]slot, 0, ids), idx: make([]int32, ids)}
+	for i := range q.idx {
+		q.idx[i] = -1
 	}
-	return h[i].seq < h[j].seq
+	return q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// set schedules id at time at, moving its slot if it is already queued.
+func (q *slotQueue) set(id int32, at int64) {
+	q.seq++
+	s := slot{at: at, seq: q.seq, id: id}
+	i := int(q.idx[id])
+	if i < 0 {
+		i = len(q.heap)
+		q.heap = append(q.heap, s)
+		q.up(i, s)
+		return
+	}
+	if !q.up(i, s) {
+		q.down(i, s)
+	}
+}
+
+// remove takes id's slot out of the queue.
+func (q *slotQueue) remove(id int32) {
+	i, n := int(q.idx[id]), len(q.heap)-1
+	last := q.heap[n]
+	q.heap = q.heap[:n]
+	q.idx[id] = -1
+	if i == n {
+		return
+	}
+	if !q.up(i, last) {
+		q.down(i, last)
+	}
+}
+
+// up places s at i or above, shifting later slots down, and reports whether
+// it rose.
+func (q *slotQueue) up(i int, s slot) bool {
+	h, start := q.heap, i
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		q.idx[h[i].id] = int32(i)
+		i = p
+	}
+	h[i] = s
+	q.idx[s.id] = int32(i)
+	return i != start
+}
+
+// down places s at i or below, shifting earlier slots up.
+func (q *slotQueue) down(i int, s slot) {
+	h := q.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&s) {
+			break
+		}
+		h[i] = h[c]
+		q.idx[h[i].id] = int32(i)
+		i = c
+	}
+	h[i] = s
+	q.idx[s.id] = int32(i)
 }
 
 // jobState is one application's live scheduling state inside the engine.
@@ -256,11 +327,13 @@ type engine struct {
 	maxCycles                int64
 	noFilter                 bool
 
-	now    int64
-	seq    uint64
-	events eventHeap
+	now   int64
+	queue slotQueue
+	// tick is the estimator quantum's slot id, one past the last core's.
+	tick int32
 
-	workers    map[topo.CoreID]*worker
+	// workers is indexed by CoreID; nil until the core first joins.
+	workers    []*worker
 	jobs       []*jobState
 	arb        *sysched.Arbiter
 	unfinished int
@@ -277,6 +350,11 @@ type engine struct {
 	introspect bool
 
 	eventCount int64
+
+	// freeFrames holds collected frames for reuse (see engine.collect);
+	// framesMade counts the frames allocated because it was empty.
+	freeFrames []*frame
+	framesMade int64
 }
 
 // enableObs turns on event tracing (and optionally introspection) with the
@@ -292,6 +370,32 @@ func (e *engine) enableObs(traceCap int, introspect bool) {
 
 // Run executes a single-application configuration to completion.
 func Run(cfg Config) (*Result, error) {
+	e, err := setup(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.run(); err != nil {
+		return nil, err
+	}
+	j := e.jobs[0]
+	res := &Result{
+		ExecCycles:     j.finishAt,
+		Workers:        e.workerStats(),
+		Timeline:       &j.timeline,
+		Decisions:      &j.decisions,
+		FinalAllotment: j.granted,
+		Events:         e.eventCount,
+	}
+	if e.tracer != nil {
+		res.Obs = e.tracer.Drain()
+		res.Trace = res.Obs.Events
+		res.EstimatorTrace = res.Obs.Snapshots
+	}
+	return res, nil
+}
+
+// setup builds the engine for cfg with its job installed, ready to run.
+func setup(cfg Config) (*engine, error) {
 	e, err := newEngine(engineParams{
 		mesh: cfg.Mesh, costs: cfg.Costs, machine: cfg.Machine,
 		queueCap: cfg.QueueCap, stealableSlots: cfg.StealableSlots,
@@ -335,30 +439,55 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	e.addJob(j, cfg.Root, mgr.Current())
-	if err := e.run(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		ExecCycles:     j.finishAt,
-		Workers:        map[topo.CoreID]*metrics.WorkerStats{},
-		Timeline:       &j.timeline,
-		Decisions:      &j.decisions,
-		FinalAllotment: j.granted,
-		Events:         e.eventCount,
-	}
+	return e, nil
+}
+
+// workerStats returns the statistics of every core that ever joined.
+func (e *engine) workerStats() map[topo.CoreID]*metrics.WorkerStats {
+	out := map[topo.CoreID]*metrics.WorkerStats{}
 	for id, w := range e.workers {
-		res.Workers[id] = &w.stats
+		if w != nil {
+			out[topo.CoreID(id)] = &w.stats
+		}
 	}
-	if e.tracer != nil {
-		res.Obs = e.tracer.Drain()
-		res.Trace = res.Obs.Events
-		res.EstimatorTrace = res.Obs.Snapshots
-	}
-	return res, nil
+	return out
 }
 
 // RunMulti executes a multiprogrammed configuration to completion.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
+	e, err := setupMulti(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.run(); err != nil {
+		return nil, err
+	}
+	out := &MultiResult{
+		Workers: e.workerStats(),
+		Events:  e.eventCount,
+	}
+	for _, j := range e.jobs {
+		out.Jobs = append(out.Jobs, &JobResult{
+			Name:         j.name,
+			StartCycles:  j.startAt,
+			FinishCycles: j.finishAt,
+			Timeline:     &j.timeline,
+			Decisions:    &j.decisions,
+		})
+		if j.finishAt > out.MakespanCycles {
+			out.MakespanCycles = j.finishAt
+		}
+	}
+	if e.tracer != nil {
+		out.Obs = e.tracer.Drain()
+		out.EstimatorTrace = out.Obs.Snapshots
+	}
+	return out, nil
+}
+
+// setupMulti builds the engine for cfg with every job installed, ready to
+// run.
+func setupMulti(cfg MultiConfig) (*engine, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("sim: no jobs")
 	}
@@ -406,34 +535,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		}
 		e.addJob(j, jc.Root, app.Allotment())
 	}
-	if err := e.run(); err != nil {
-		return nil, err
-	}
-	out := &MultiResult{
-		Workers:        map[topo.CoreID]*metrics.WorkerStats{},
-		MakespanCycles: e.now,
-		Events:         e.eventCount,
-	}
-	for _, j := range e.jobs {
-		out.Jobs = append(out.Jobs, &JobResult{
-			Name:         j.name,
-			StartCycles:  j.startAt,
-			FinishCycles: j.finishAt,
-			Timeline:     &j.timeline,
-			Decisions:    &j.decisions,
-		})
-		if j.finishAt > out.MakespanCycles {
-			out.MakespanCycles = j.finishAt
-		}
-	}
-	for id, w := range e.workers {
-		out.Workers[id] = &w.stats
-	}
-	if e.tracer != nil {
-		out.Obs = e.tracer.Drain()
-		out.EstimatorTrace = out.Obs.Snapshots
-	}
-	return out, nil
+	return e, nil
 }
 
 type engineParams struct {
@@ -456,7 +558,9 @@ func newEngine(p engineParams) (*engine, error) {
 		costs:   DefaultCosts(),
 		machine: Ideal{},
 		mesh:    p.mesh,
-		workers: make(map[topo.CoreID]*worker, p.mesh.NumCores()),
+		workers: make([]*worker, p.mesh.NumCores()),
+		queue:   newSlotQueue(p.mesh.NumCores() + 1),
+		tick:    int32(p.mesh.NumCores()),
 	}
 	if p.costs != nil {
 		e.costs = *p.costs
@@ -489,7 +593,7 @@ func newEngine(p engineParams) (*engine, error) {
 func (e *engine) addJob(j *jobState, root *task.Spec, granted *topo.Allotment) {
 	j.granted = granted
 	j.lastWasted = map[topo.CoreID]int64{}
-	j.rootFrame = newFrame(root, j.source, nil)
+	j.rootFrame = e.newFrame(root, j.source, nil)
 	j.rootFrame.isRoot = true
 	j.started = true
 	j.startAt = e.now
@@ -563,9 +667,9 @@ func (e *engine) rebuildPolicy(j *jobState) {
 // workers.
 func (e *engine) residentAllotment(j *jobState) *topo.Allotment {
 	var extra []topo.CoreID
-	for id, w := range e.workers {
-		if w.job == j && w.draining && !w.retired && !j.granted.Contains(id) {
-			extra = append(extra, id)
+	for _, w := range e.workers {
+		if w != nil && w.job == j && w.draining && !w.retired && !j.granted.Contains(w.id) {
+			extra = append(extra, w.id)
 		}
 	}
 	if len(extra) == 0 {
@@ -580,43 +684,41 @@ func (e *engine) residentAllotment(j *jobState) *topo.Allotment {
 }
 
 // schedule (re)schedules w's next activation at time t, superseding any
-// outstanding event.
-func (e *engine) schedule(w *worker, t int64) {
-	w.epoch++
-	e.seq++
-	heap.Push(&e.events, &event{time: t, seq: e.seq, w: w, epoch: w.epoch})
-}
+// outstanding one.
+func (e *engine) schedule(w *worker, t int64) { e.queue.set(int32(w.id), t) }
 
-func (e *engine) scheduleQuantum(t int64) {
-	e.seq++
-	heap.Push(&e.events, &event{time: t, seq: e.seq, quantum: true})
-}
+func (e *engine) scheduleQuantum(t int64) { e.queue.set(e.tick, t) }
 
 func (e *engine) run() error {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.time < e.now {
-			return fmt.Errorf("sim: time went backwards (%d < %d)", ev.time, e.now)
+	for len(e.queue.heap) > 0 {
+		s := e.queue.heap[0]
+		if s.at < e.now {
+			return fmt.Errorf("sim: time went backwards (%d < %d)", s.at, e.now)
 		}
-		e.now = ev.time
+		e.now = s.at
 		if e.now > e.maxCycles {
 			return fmt.Errorf("sim: exceeded MaxCycles=%d — likely deadlock or runaway workload", e.maxCycles)
 		}
 		if e.unfinished == 0 {
 			break
 		}
-		if ev.quantum {
+		// The due slot stays at the root while it fires — nothing scheduled
+		// meanwhile can sort before it — so the usual self-reschedule is one
+		// sift down instead of a removal and a push.
+		if s.id == e.tick {
 			e.quantumTick()
 			if e.unfinished > 0 {
 				e.scheduleQuantum(e.now + e.quantum)
 			}
-			continue
+		} else if w := e.workers[s.id]; !w.retired {
+			// A worker retired with its slot still queued — its job
+			// finished under it in RunMulti — fires as a no-op.
+			e.eventCount++
+			w.step()
 		}
-		if ev.epoch != ev.w.epoch || ev.w.retired {
-			continue // superseded or dead
+		if e.queue.heap[e.queue.idx[s.id]].seq == s.seq {
+			e.queue.remove(s.id) // fired without rescheduling itself
 		}
-		e.eventCount++
-		ev.w.step()
 	}
 	if e.unfinished > 0 {
 		return fmt.Errorf("sim: event queue drained with %d job(s) unfinished", e.unfinished)
@@ -800,7 +902,7 @@ func (e *engine) finishJob(j *jobState) {
 	// Multiprogrammed mode: retire the job's workers and return its cores
 	// to the free pool so competing jobs can grow into them.
 	for _, w := range e.workers {
-		if w.job == j && !w.retired {
+		if w != nil && w.job == j && !w.retired {
 			w.retired = true
 			w.job = nil
 			if w.stats.RetiredAt < 0 {

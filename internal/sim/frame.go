@@ -9,6 +9,11 @@ import (
 // state. Frames live either in a worker's queue (spawned, waiting to be
 // popped or stolen), on a worker's frame stack (executing, possibly
 // suspended under deeper frames), or nowhere (joined and collected).
+//
+// Frames are recycled through the engine's free list, each at the one
+// point where its last reference dies: a spawned child where its parent
+// pops it from spawns (handleSync's done arm; completeFrame's inlineJoin
+// arm), an OpCall child when it completes. A job's root is never collected.
 type frame struct {
 	spec *task.Spec
 	// pc indexes the next op in spec.Ops. Values past len(Ops) drive the
@@ -33,7 +38,8 @@ type frame struct {
 	inlineJoin bool
 	// spawnInline marks a frame executed inline at spawn time because the
 	// queue was full: completion advances the parent's pc past the spawn
-	// op, and the frame was never recorded in parent.spawns.
+	// op; the frame stays in parent.spawns, already done, until the matching
+	// sync joins it.
 	spawnInline bool
 	// calledInline marks a frame created by OpCall: completion advances
 	// the parent's pc past the call op.
@@ -47,9 +53,27 @@ type frame struct {
 	isRoot bool
 }
 
-// newFrame materializes a child spec.
-func newFrame(spec *task.Spec, owner topo.CoreID, parent *frame) *frame {
-	return &frame{spec: spec, owner: owner, parent: parent}
+// newFrame materializes a child spec, reusing a collected frame if one is
+// free.
+func (e *engine) newFrame(spec *task.Spec, owner topo.CoreID, parent *frame) *frame {
+	n := len(e.freeFrames)
+	if n == 0 {
+		e.framesMade++
+		return &frame{spec: spec, owner: owner, parent: parent}
+	}
+	f := e.freeFrames[n-1]
+	e.freeFrames[n-1] = nil
+	e.freeFrames = e.freeFrames[:n-1]
+	f.spec, f.owner, f.parent = spec, owner, parent
+	return f
+}
+
+// collect returns a joined frame to the free list. Everything is zeroed
+// except spawns' capacity, so touching a collected frame dereferences a nil
+// spec in every run, not only under a debug mode.
+func (e *engine) collect(f *frame) {
+	*f = frame{spawns: f.spawns[:0]}
+	e.freeFrames = append(e.freeFrames, f)
 }
 
 // youngestSpawn returns the youngest outstanding spawn, or nil.

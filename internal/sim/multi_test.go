@@ -66,6 +66,32 @@ func TestRunMultiTwoAdaptiveJobs(t *testing.T) {
 	}
 }
 
+// TestMakespanIsLastFinish: the makespan is the latest job finish and
+// nothing else — not the time of whichever event the loop saw next.
+func TestMakespanIsLastFinish(t *testing.T) {
+	for _, c := range fingerprintCases() {
+		if c.multi == nil {
+			continue
+		}
+		res, err := RunMulti(c.multi())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Jobs) != 3 {
+			t.Fatalf("%s: %d jobs, want the three-job configuration", c.name, len(res.Jobs))
+		}
+		var last int64
+		for _, jr := range res.Jobs {
+			if jr.FinishCycles > last {
+				last = jr.FinishCycles
+			}
+		}
+		if res.MakespanCycles != last {
+			t.Fatalf("%s: makespan %d, last job finished at %d", c.name, res.MakespanCycles, last)
+		}
+	}
+}
+
 func TestRunMultiWorkConservation(t *testing.T) {
 	// Total compute across the machine equals the sum of both jobs' work.
 	m := multiMesh()

@@ -176,14 +176,9 @@ func TestQueueOverflowInlinesSpawns(t *testing.T) {
 	// With a tiny queue, wide spawn bursts overflow and execute inline;
 	// the run must still complete with full work conservation.
 	m, src := simMesh()
-	leaves := make([]task.Builder, 64)
-	for i := range leaves {
-		leaves[i] = func() *task.Spec { return task.Leaf("leaf", 50) }
-	}
-	root := task.SpawnJoin("wide", 10, leaves, 0, 10)
-	st, _ := task.Measure(task.SpawnJoin("wide", 10, leaves, 0, 10))
+	st, _ := task.Measure(wideRoot())
 	res := mustRun(t, Config{
-		Mesh: m, Source: src, Root: root, InitialDiaspora: 1,
+		Mesh: m, Source: src, Root: wideRoot(), InitialDiaspora: 1,
 		QueueCap: 4, StealableSlots: 4,
 	})
 	var compute int64

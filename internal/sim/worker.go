@@ -26,7 +26,6 @@ type worker struct {
 	eng   *engine
 	job   *jobState
 	state workerState
-	epoch uint64
 
 	// stack holds the frames being executed, innermost last. Frames below
 	// the top are either suspended by an inline call or blocked at the
@@ -144,7 +143,7 @@ func (w *worker) stepRun() {
 		e.schedule(w, e.now+work)
 
 	case task.OpSpawn:
-		child := newFrame(op.Gen(), w.id, f)
+		child := e.newFrame(op.Gen(), w.id, f)
 		if w.queue.PushBottom(child) {
 			child.queued = true
 			f.spawns = append(f.spawns, child)
@@ -167,7 +166,7 @@ func (w *worker) stepRun() {
 		e.schedule(w, e.now+e.costs.TaskInit)
 
 	case task.OpCall:
-		child := newFrame(op.Gen(), w.id, f)
+		child := e.newFrame(op.Gen(), w.id, f)
 		child.calledInline = true
 		w.pushFrame(child)
 		w.stats.Add(metrics.TaskInit, e.costs.TaskInit)
@@ -193,6 +192,7 @@ func (w *worker) handleSync(f *frame) {
 	case c.done:
 		// A thief finished it (or it finished inline earlier): join.
 		f.popSpawn()
+		e.collect(c)
 		f.pc++
 		w.stats.Add(metrics.Sync, e.costs.SyncStolen)
 		e.schedule(w, e.now+e.costs.SyncStolen)
@@ -249,11 +249,17 @@ func (w *worker) completeFrame(f *frame) {
 		case f.inlineJoin:
 			// Popped at the matching sync: the join completes now.
 			parent.popSpawn()
+			e.collect(f)
 			parent.pc++
 			w.state = wsRun
 			e.schedule(w, e.now)
 		case f.spawnInline, f.calledInline:
-			// Inline call: resume the parent past the call/spawn op.
+			// Inline call: resume the parent past the call/spawn op. A
+			// called frame dies here; an inlined spawn is still in
+			// parent.spawns and dies at its sync.
+			if f.calledInline {
+				e.collect(f)
+			}
 			parent.pc++
 			w.state = wsRun
 			e.schedule(w, e.now)
