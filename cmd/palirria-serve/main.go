@@ -30,15 +30,15 @@
 // front of the cluster steers submissions toward the node advertising the
 // most spare parallelism; see docs/CLUSTER.md.
 //
-// /events streams job lifecycle, estimator quantum, and scheduler events
+// /events streams job lifecycle, estimator quantum, and cluster events
 // as Server-Sent Events; kind takes a comma-separated list of event
 // kinds, job a single job id, tenant a pool name. Every subscriber has a
 // bounded buffer (-event-buffer): a slow client loses events — announced
 // by "drop" frames carrying exact counts — rather than backpressuring
 // the scheduler. Comment heartbeats keep idle connections alive. The
-// -sink flag additionally exports the full stream to a pluggable backend
-// (jsonl:-, jsonl:/path, or prom:http://host/path) through a bounded,
-// retrying spooler.
+// -sink flag (jsonl:- for stdout, jsonl:/path to append to a file)
+// additionally writes the full stream as JSON lines; the log is one more
+// subscriber with the same -event-buffer bound and drop accounting.
 //
 // Submit replies 200 on completion, 429 while the pool sheds load or its
 // admission queue is full (including class sheds and unmeetable
@@ -92,8 +92,7 @@ func main() {
 	flag.DurationVar(&opts.rearbitrate, "rearbitrate", 20*time.Millisecond, "re-arbitration period (multi-tenant mode)")
 	flag.IntVar(&opts.queueCap, "queue-cap", 128, "admission queue capacity per pool")
 	flag.IntVar(&opts.shedQuanta, "shed-quanta", 8, "pinned quanta before the shed latch arms")
-	flag.StringVar(&opts.sink, "sink", "", "export the event stream to a sink: jsonl:-, jsonl:/path, or prom:http://host/path")
-	flag.DurationVar(&opts.sinkFlush, "sink-flush", time.Second, "sink spooler flush interval")
+	flag.StringVar(&opts.sink, "sink", "", "write the event stream as JSON lines: jsonl:- (stdout) or jsonl:/path (append)")
 	flag.IntVar(&opts.eventBuf, "event-buffer", 1024, "per-subscriber /events buffer (events beyond it are dropped and counted)")
 	flag.DurationVar(&opts.heartbeat, "heartbeat", 10*time.Second, "/events comment-heartbeat period")
 	flag.StringVar(&opts.clusterAddr, "cluster-addr", "", "advertised base URL (e.g. http://10.0.0.5:8077); enables cluster gossip")
@@ -149,7 +148,6 @@ type options struct {
 	queueCap    int
 	shedQuanta  int
 	sink        string
-	sinkFlush   time.Duration
 	eventBuf    int
 	heartbeat   time.Duration
 
@@ -173,8 +171,8 @@ type server struct {
 	hub       *stream.Hub
 	eventBuf  int
 	heartbeat time.Duration
-	spool     *stream.Spooler // nil without -sink
-	sinkClose func() error    // releases the sink's file, if any
+	logDone   chan error // the -sink event log's result; nil without -sink
+	logFile   *os.File   // the -sink file; nil for stdout
 
 	node *cluster.Node // nil outside cluster mode
 
@@ -230,12 +228,9 @@ func newServer(opts options) (*server, error) {
 	}
 	s.hub.Register(s.reg)
 	if opts.sink != "" {
-		sink, closer, err := stream.ParseSink(opts.sink)
-		if err != nil {
+		if err := s.startEventLog(opts.sink); err != nil {
 			return nil, err
 		}
-		s.sinkClose = closer
-		s.spool = stream.NewSpooler(s.hub, sink, stream.SpoolConfig{FlushEvery: opts.sinkFlush})
 	}
 	for _, name := range names {
 		mesh, err := topo.NewMesh(dims...)
@@ -305,6 +300,27 @@ func newServer(opts options) (*server, error) {
 		node.Start()
 	}
 	return s, nil
+}
+
+// startEventLog subscribes the -sink event log to the hub: spec is
+// jsonl:- for stdout or jsonl:PATH for a file opened for append.
+func (s *server) startEventLog(spec string) error {
+	path, ok := strings.CutPrefix(spec, "jsonl:")
+	if !ok {
+		return fmt.Errorf("bad -sink %q: want jsonl:- or jsonl:PATH", spec)
+	}
+	out := os.Stdout
+	if path != "-" && path != "" {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		out, s.logFile = f, f
+	}
+	sub := s.hub.Subscribe(stream.SubOptions{Buf: s.eventBuf})
+	s.logDone = make(chan error, 1)
+	go func() { s.logDone <- stream.WriteJSONL(sub, out) }()
+	return nil
 }
 
 func (s *server) handler() http.Handler {
@@ -682,8 +698,9 @@ func (s *server) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // close releases whatever newServer built; pools that never drained are
-// drained with a short grace period. The hub closes last so the drains'
-// terminal events still reach the sink before its final flush.
+// drained with a short grace period. The hub closes after the drains, and
+// the event log is waited for before its file closes, so every terminal
+// event reaches the log.
 func (s *server) close() {
 	if s.node != nil {
 		s.node.Stop()
@@ -696,13 +713,17 @@ func (s *server) close() {
 	for _, p := range s.pools {
 		p.Drain(ctx) //nolint:errcheck // best-effort teardown
 	}
-	if s.spool != nil {
-		s.spool.Close()
-	}
-	if s.sinkClose != nil {
-		s.sinkClose() //nolint:errcheck // best-effort teardown
-	}
 	s.hub.Close()
+	if s.logDone != nil {
+		if err := <-s.logDone; err != nil {
+			fmt.Fprintln(os.Stderr, "palirria-serve: event log:", err)
+		}
+	}
+	if s.logFile != nil {
+		if err := s.logFile.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "palirria-serve: event log:", err)
+		}
+	}
 }
 
 // fanJob builds the synthetic serving workload: a binary fan of n leaves,

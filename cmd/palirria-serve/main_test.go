@@ -373,6 +373,7 @@ func TestServerEventsValidation(t *testing.T) {
 		want int
 	}{
 		{"/events?kind=bogus", http.StatusBadRequest},
+		{"/events?kind=sched", http.StatusBadRequest},
 		{"/events?job=abc", http.StatusBadRequest},
 		{"/events?job=0", http.StatusBadRequest},
 		{"/events?tenant=nope", http.StatusNotFound},
@@ -388,13 +389,13 @@ func TestServerEventsValidation(t *testing.T) {
 	}
 }
 
-// TestServerJSONLSink runs the full path flag -> ParseSink -> Spooler ->
-// file: after a submit and close, the file holds the lifecycle events.
+// TestServerJSONLSink runs the full path flag -> hub subscription ->
+// WriteJSONL -> file: after a submit and close, the file holds the
+// lifecycle events.
 func TestServerJSONLSink(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	opts := testOptions()
 	opts.sink = "jsonl:" + path
-	opts.sinkFlush = 10 * time.Millisecond
 	s, err := newServer(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +407,7 @@ func TestServerJSONLSink(t *testing.T) {
 	}
 	resp.Body.Close()
 	ts.Close()
-	s.close() // flushes the spooler
+	s.close() // waits for the event log
 
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -427,6 +428,20 @@ func TestServerJSONLSink(t *testing.T) {
 	}
 	if !admitted || !completed {
 		t.Fatalf("sink file missing lifecycle events:\n%s", b)
+	}
+}
+
+// TestServerSinkSpec: -sink takes jsonl:- or jsonl:PATH; any other scheme
+// fails at startup rather than silently logging nothing.
+func TestServerSinkSpec(t *testing.T) {
+	for _, spec := range []string{"prom:http://127.0.0.1:9/x", "ftp:thing", "bogus",
+		"jsonl:" + filepath.Join(t.TempDir(), "missing", "events.jsonl")} {
+		opts := testOptions()
+		opts.sink = spec
+		if s, err := newServer(opts); err == nil {
+			s.close()
+			t.Errorf("-sink %q accepted, want a startup error", spec)
+		}
 	}
 }
 

@@ -73,9 +73,7 @@ type CapEvent struct {
 // Script is a fully planned scenario. It is pure data: planning the same
 // (scenario, seed) pair always yields the same script, byte-for-byte under
 // JSON marshalling, which is what makes a printed seed a complete repro.
-// Replay re-plans from (scenario, seed) and never decodes a script, so a
-// CHAOS_FAIL.json written before the "locality_nodes" knob was withdrawn
-// still replays; encoding/json would ignore the unknown key in any case.
+// Replay re-plans from (scenario, seed) and never decodes a script.
 type Script struct {
 	Scenario string `json:"scenario"`
 	Seed     uint64 `json:"seed"`

@@ -237,21 +237,6 @@ func (t *Tracer) Drain() *TraceData {
 	return d
 }
 
-// DrainEach consumes every ring's pending events in ring order, calling
-// fn for each, without sorting or accumulating — the allocation-free
-// shape the streaming pump wants for its periodic drains. Like Drain it
-// is safe concurrently with emission on drop-newest rings, and it
-// consumes the same events Drain would: a tracer feeding a pump should
-// not also be drained for trace export.
-func (t *Tracer) DrainEach(fn func(Event)) {
-	t.mu.Lock()
-	rings := append([]*Ring(nil), t.rings...)
-	t.mu.Unlock()
-	for _, r := range rings {
-		r.Drain(fn)
-	}
-}
-
 // TraceData is a drained, time-ordered trace ready for export.
 type TraceData struct {
 	// Events in non-decreasing TS order.

@@ -245,8 +245,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // exposition format, grouped into families with one HELP/TYPE header
 // each. Output order is fully deterministic — families sorted by name,
 // series within a family sorted by rendered label set — regardless of
-// registration order, so repeated scrapes and pushed sink batches diff
-// cleanly.
+// registration order, so repeated scrapes diff cleanly.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	ms := append([]*metric(nil), r.ms...)

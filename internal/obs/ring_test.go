@@ -191,8 +191,8 @@ func TestTracerSnapshots(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	// The names are wire and CLI vocabulary (Chrome event names, stream
-	// pump details, palirria-sim -trace lines): pin every one.
+	// The names are wire and CLI vocabulary (Chrome event names,
+	// palirria-sim -trace lines): pin every one.
 	names := map[Kind]string{
 		KindSpawn: "spawn", KindSteal: "steal", KindProbeFail: "probefail",
 		KindTaskDone: "done", KindBlock: "block", KindGrant: "grant",

@@ -1,6 +1,6 @@
-// Package stream turns the runtime's observability signals — per-worker
-// obs ring buffers, serve.Pool job transitions, and per-quantum estimator
-// snapshots — into a typed broadcast event stream with bounded
+// Package stream turns the serving stack's signals — serve.Pool job
+// transitions, per-quantum estimator snapshots, and cluster membership and
+// routing decisions — into a typed broadcast event stream with bounded
 // per-subscriber buffers.
 //
 // The design rule is that a slow consumer can never backpressure the
@@ -9,15 +9,7 @@
 // dropped *for that subscriber* and counted exactly, so a consumer can
 // always reconcile what it saw against what happened
 // (Delivered()+Dropped() == events matching its filter while it was
-// subscribed). The hot paths of the runtime itself stay allocation-free:
-// workers keep emitting fixed-size records into their obs rings, and a
-// background Pump converts drained ring events into stream events off the
-// worker goroutines.
-//
-// On top of the Hub, sink.go provides the off-box half: a pluggable Sink
-// interface (heapster-style backends) fed by a Spooler that batches
-// events, retries pushes with backoff, and bounds its spool so a dead
-// backend cannot grow memory without bound either.
+// subscribed). WriteJSONL turns one subscription into an event log.
 package stream
 
 import (
@@ -45,9 +37,6 @@ const (
 	KindShed
 	// KindQuantum: one estimation quantum (Raw/Desire/Granted/Capacity).
 	KindQuantum
-	// KindSched: a scheduler event pumped from the per-worker obs rings
-	// (Detail names the obs kind: grant, retire, park, ...).
-	KindSched
 	// KindPeerUp: a cluster peer was first seen, or recovered from
 	// suspicion (Node is the peer id).
 	KindPeerUp
@@ -80,7 +69,6 @@ var kindNames = [NumKinds]string{
 	KindCancelled:    "cancelled",
 	KindShed:         "shed",
 	KindQuantum:      "quantum",
-	KindSched:        "sched",
 	KindPeerUp:       "peer-up",
 	KindPeerSuspect:  "peer-suspect",
 	KindPeerDead:     "peer-dead",
@@ -141,14 +129,14 @@ type Event struct {
 	Job uint64 `json:"job,omitempty"`
 	// Reason qualifies KindShed ("full" or "shed") and KindCancelled.
 	Reason string `json:"reason,omitempty"`
-	// Worker and Peer identify cores on KindSched events.
-	Worker int32 `json:"worker,omitempty"`
-	Peer   int32 `json:"peer,omitempty"`
-	// Arg carries the obs event payload on KindSched (granted size for
-	// grant, parked nanoseconds for park, ...).
+	// Arg is the kind's numeric payload: the shed-ladder level on
+	// admitted and shed events, the predicted wait in nanoseconds on
+	// KindDeadlineShed, the silent nanoseconds on peer-suspect/peer-dead,
+	// and the batch size on routed/failover events.
 	Arg int64 `json:"arg,omitempty"`
-	// Detail names the underlying obs kind on KindSched events (and the
-	// sticky key, when one applied, on KindRouted).
+	// Detail names the job's priority class on admitted, shed and
+	// deadline-shed events, and the sticky key, when one applied, on
+	// KindRouted.
 	Detail string `json:"detail,omitempty"`
 	// Node identifies the cluster peer on peer-up/peer-suspect/peer-dead
 	// events, and the chosen (or failed) node on routed/failover events.
@@ -184,7 +172,7 @@ type SubOptions struct {
 	// Kinds restricts delivery to the listed kinds; empty means all.
 	Kinds []Kind
 	// Job restricts delivery to one job id (0 means all). Events without
-	// a job id (quantum, sched, shed) are excluded by a job filter.
+	// a job id (quantum, shed, cluster events) are excluded by a job filter.
 	Job uint64
 	// Pool restricts delivery to one pool label ("" means all).
 	Pool string

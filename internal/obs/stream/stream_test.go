@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
-
-	"palirria/internal/obs"
 )
 
 func TestKindJSONRoundTrip(t *testing.T) {
@@ -151,7 +148,7 @@ func TestHubAccountingUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perPub; i++ {
-				h.Publish(Event{Kind: KindSched})
+				h.Publish(Event{Kind: KindQuantum})
 			}
 		}()
 	}
@@ -216,7 +213,7 @@ func TestPublishCloseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20000; i++ {
-				h.Publish(Event{Kind: KindSched})
+				h.Publish(Event{Kind: KindQuantum})
 			}
 		}()
 	}
@@ -235,61 +232,5 @@ func TestPublishCloseRace(t *testing.T) {
 		sub.Close()
 		for range sub.Events() {
 		}
-	}
-}
-
-func TestPumpForwardsSelectedKinds(t *testing.T) {
-	tr := obs.NewTracer(obs.WithRingCap(64))
-	ring := tr.NewRing(false)
-	h := NewHub()
-	sub := h.Subscribe(SubOptions{Buf: 64})
-	p := NewPump(h, tr, PumpConfig{Label: "web", BaseNS: 1000, Interval: time.Millisecond})
-	p.Start()
-
-	ring.Emit(obs.Event{TS: 5, Kind: obs.KindGrant, Worker: 2, Arg: 3})
-	ring.Emit(obs.Event{TS: 6, Kind: obs.KindSpawn, Worker: 2, Arg: 1}) // filtered out
-	ring.Emit(obs.Event{TS: 7, Kind: obs.KindPark, Worker: 1, Arg: 999})
-
-	deadline := time.After(2 * time.Second)
-	var got []Event
-	for len(got) < 2 {
-		select {
-		case ev := <-sub.Events():
-			got = append(got, ev)
-		case <-deadline:
-			t.Fatalf("timed out, got %d events", len(got))
-		}
-	}
-	p.Stop()
-	sub.Close()
-
-	if got[0].Kind != KindSched || got[0].Detail != "grant" || got[0].Arg != 3 ||
-		got[0].Worker != 2 || got[0].TS != 1005 || got[0].Pool != "web" {
-		t.Fatalf("bad first event: %+v", got[0])
-	}
-	if got[1].Detail != "park" || got[1].Arg != 999 || got[1].TS != 1007 {
-		t.Fatalf("bad second event: %+v", got[1])
-	}
-	if p.Forwarded() != 2 {
-		t.Fatalf("forwarded = %d, want 2", p.Forwarded())
-	}
-}
-
-func TestPumpFinalDrainOnStop(t *testing.T) {
-	tr := obs.NewTracer(obs.WithRingCap(64))
-	ring := tr.NewRing(false)
-	h := NewHub()
-	sub := h.Subscribe(SubOptions{Buf: 64})
-	p := NewPump(h, tr, PumpConfig{Interval: time.Hour}) // ticker never fires
-	p.Start()
-	ring.Emit(obs.Event{TS: 1, Kind: obs.KindRetire})
-	p.Stop() // final drain must pick it up
-	sub.Close()
-	n := 0
-	for range sub.Events() {
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("got %d events after Stop, want 1", n)
 	}
 }

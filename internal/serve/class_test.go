@@ -204,7 +204,7 @@ func TestPoolPriorityStarvationHammer(t *testing.T) {
 	// the high class is never ladder-eligible.
 	highAdmitted := 0
 	deadline := time.Now().Add(30 * time.Second)
-	for highAdmitted < 5 && floodShed.Load() < 5 || highAdmitted < 5 {
+	for highAdmitted < 5 || floodShed.Load() < 5 {
 		if time.Now().After(deadline) {
 			t.Fatalf("hammer timed out: %d high admitted, %d low shed",
 				highAdmitted, floodShed.Load())

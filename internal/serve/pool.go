@@ -34,8 +34,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Events, when set, publishes the pool's job lifecycle
 	// (admitted/started/completed/cancelled/shed) and per-quantum
-	// estimator digests on the hub, and is forwarded to the runtime so
-	// scheduler ring events stream too. Publishing never blocks: slow
+	// estimator digests on the hub. Publishing never blocks: slow
 	// subscribers drop (and count) events, they cannot backpressure
 	// Submit or the workers.
 	Events *stream.Hub
@@ -154,14 +153,6 @@ func New(cfg Config) (*Pool, error) {
 	// series kept distinct; default the label to the pool name.
 	if cfg.Runtime.Metrics != nil && len(cfg.Runtime.MetricLabels) == 0 {
 		cfg.Runtime.MetricLabels = []obs.Label{{Key: "pool", Value: cfg.Name}}
-	}
-	// Forward the hub to the runtime so scheduler ring events stream too,
-	// labelled with the pool name.
-	if cfg.Events != nil && cfg.Runtime.Events == nil {
-		cfg.Runtime.Events = cfg.Events
-		if cfg.Runtime.EventLabel == "" {
-			cfg.Runtime.EventLabel = cfg.Name
-		}
 	}
 	p := &Pool{
 		cfg:       cfg,

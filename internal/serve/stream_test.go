@@ -38,7 +38,7 @@ func TestPoolStreamsJobLifecycle(t *testing.T) {
 			t.Fatalf("event with wrong pool label: %+v", ev)
 		}
 		if ev.Job == 0 {
-			continue // quantum/sched events
+			continue // quantum events
 		}
 		if perJob[ev.Job] == nil {
 			perJob[ev.Job] = map[stream.Kind]int{}
@@ -107,6 +107,42 @@ func TestPoolStreamsShedAndQuantum(t *testing.T) {
 	}
 }
 
+// TestPoolEventsCarryWallTime requires every event a live pool puts on its
+// hub — lifecycle and per-quantum alike — to be stamped with wall time
+// inside the test's own window, so a consumer can order the log against
+// other clocks.
+func TestPoolEventsCarryWallTime(t *testing.T) {
+	hub := stream.NewHub()
+	sub := hub.Subscribe(stream.SubOptions{Buf: 1 << 14})
+	t0 := time.Now()
+	p := quietPool(t, Config{Name: "web", Events: hub,
+		Runtime: wsrt.Config{Quantum: time.Millisecond}})
+	for i := 0; i < 20; i++ {
+		if err := p.Submit(context.Background(), func(c *wsrt.Ctx) {
+			c.Spawn(func(cc *wsrt.Ctx) {})
+			c.SyncAll()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	drain(t, p)
+	hub.Close()
+	t1 := time.Now()
+
+	n := 0
+	for ev := range sub.Events() {
+		n++
+		if ev.TS < t0.UnixNano() || ev.TS > t1.UnixNano() {
+			t.Errorf("%s event (detail %q) stamped %d, outside [%d, %d]",
+				ev.Kind, ev.Detail, ev.TS, t0.UnixNano(), t1.UnixNano())
+		}
+	}
+	if n == 0 || sub.Dropped() != 0 {
+		t.Fatalf("saw %d events, dropped %d", n, sub.Dropped())
+	}
+}
+
 func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -162,8 +198,7 @@ func TestWedgedSubscriberDoesNotBlockSubmit(t *testing.T) {
 
 	// Exact accounting: everything published is either in the wedged
 	// buffer or counted dropped. The hub is quiescent after Drain (all
-	// terminal events precede the drain's return, the runtime pump
-	// flushed at teardown).
+	// terminal events precede the drain's return).
 	if got := wedged.Delivered() + wedged.Dropped(); got != hub.Published() {
 		t.Fatalf("delivered+dropped = %d, published = %d", got, hub.Published())
 	}

@@ -39,7 +39,7 @@ func (r *Runtime) helperLoop(stop <-chan struct{}) {
 		class := topo.Classify(granted)
 		snaps := make(map[topo.CoreID]*core.WorkerSnapshot, granted.Size())
 		for _, id := range granted.Members() {
-			w := r.workers[id]
+			w := r.byID[id]
 			// Wasted effort is search plus parked time: the estimators'
 			// WastedCycles semantics predate event-driven parking, and a
 			// parked worker is exactly as wasted as a probing one — it just
@@ -112,7 +112,7 @@ func (r *Runtime) helperLoop(stop <-chan struct{}) {
 		// Drain workers leaving the grant; activate workers entering it.
 		for _, id := range granted.Members() {
 			if !next.Contains(id) {
-				w := r.workers[id]
+				w := r.byID[id]
 				if w.state.CompareAndSwap(stateActive, stateDraining) {
 					// A revoked worker may be blocked in idleWait; deliver a
 					// token so it observes the drain now instead of at the
@@ -123,7 +123,7 @@ func (r *Runtime) helperLoop(stop <-chan struct{}) {
 			}
 		}
 		for _, id := range next.Members() {
-			w := r.workers[id]
+			w := r.byID[id]
 			for {
 				s := w.state.Load()
 				if s == stateActive || s == stateStopped {

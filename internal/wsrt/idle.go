@@ -128,7 +128,7 @@ func (r *Runtime) wakeAllIdle() {
 	if r.idleWaiters.Load() == 0 {
 		return
 	}
-	for _, w := range r.workers {
+	for _, w := range r.workerList {
 		if r.clearIdle(w) {
 			r.wakeups.Add(1)
 			w.unpark()

@@ -34,7 +34,7 @@ func TestIdleWorkersParkInValley(t *testing.T) {
 	time.Sleep(2 * time.Millisecond) // drain the post-job spin budget
 	searchSum := func() int64 {
 		var s int64
-		for _, w := range rt.workers {
+		for _, w := range rt.workerList {
 			s += atomic.LoadInt64(&w.stats.SearchNS)
 		}
 		return s

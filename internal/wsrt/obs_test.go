@@ -123,7 +123,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range rt.workers {
+	for _, w := range rt.workerList {
 		if w.ring != nil {
 			t.Fatal("ring allocated without a tracer")
 		}

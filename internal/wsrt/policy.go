@@ -37,9 +37,9 @@ func (r *Runtime) rebuildPolicy() {
 	defer r.policyMu.Unlock()
 	granted := r.grantedA.Load()
 	var extra []topo.CoreID
-	for id, w := range r.workers {
-		if w.state.Load() == stateDraining && !granted.Contains(id) {
-			extra = append(extra, id)
+	for _, w := range r.workerList {
+		if w.state.Load() == stateDraining && !granted.Contains(w.id) {
+			extra = append(extra, w.id)
 		}
 	}
 	resident := granted
@@ -59,9 +59,9 @@ func (r *Runtime) rebuildPolicy() {
 	// before it is published, so probing Victims here cannot race worker
 	// calls (the random policy's per-worker streams are not shared until
 	// the Store).
-	thieves := make(map[topo.CoreID][]*worker, len(r.workers))
+	thieves := make(map[topo.CoreID][]*worker, len(r.workerList))
 	for _, id := range resident.Members() {
-		tw := r.workers[id]
+		tw := r.workerByID(id)
 		if tw == nil {
 			continue
 		}
@@ -74,7 +74,7 @@ func (r *Runtime) rebuildPolicy() {
 	// their way out.
 	members := make([]*worker, 0, granted.Size())
 	for _, id := range granted.Members() {
-		if w := r.workers[id]; w != nil {
+		if w := r.workerByID(id); w != nil {
 			members = append(members, w)
 		}
 	}

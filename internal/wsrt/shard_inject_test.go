@@ -40,7 +40,7 @@ func TestShutdownFlushesAllShards(t *testing.T) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
-	gate := blockAllWorkers(t, rt, len(rt.workers))
+	gate := blockAllWorkers(t, rt, len(rt.workerList))
 	const queued = 32
 	var flushed atomic.Int64
 	for i := 0; i < queued; i++ {
@@ -169,7 +169,7 @@ func TestSubmitBatchPrefixAcceptance(t *testing.T) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
-	gate := blockAllWorkers(t, rt, len(rt.workers))
+	gate := blockAllWorkers(t, rt, len(rt.workerList))
 	var fired atomic.Int64
 	jobs := make([]Job, 10)
 	for i := range jobs {

@@ -19,9 +19,9 @@ func TestStealProbeZeroAllocs(t *testing.T) {
 		t.Fatal("no policy installed")
 	}
 	var thief, victim *worker
-	for id, w := range rt.workers {
-		if vs := b.policy.Victims(id); len(vs) > 0 {
-			thief, victim = w, rt.workers[vs[0]]
+	for _, w := range rt.workerList {
+		if vs := b.policy.Victims(w.id); len(vs) > 0 {
+			thief, victim = w, rt.byID[vs[0]]
 			break
 		}
 	}

@@ -27,7 +27,7 @@ func TestSubmitNoLivelockAtCap(t *testing.T) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
-	gate := blockAllWorkers(t, rt, len(rt.workers))
+	gate := blockAllWorkers(t, rt, len(rt.workerList))
 	// Fill the backlog to exactly the cap. The ladder is sequentially
 	// exhaustive, so every one of these must be accepted.
 	for i := 0; i < cap; i++ {

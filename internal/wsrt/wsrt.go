@@ -32,7 +32,6 @@ import (
 	"palirria/internal/core"
 	"palirria/internal/deque"
 	"palirria/internal/obs"
-	"palirria/internal/obs/stream"
 	"palirria/internal/sysched"
 	"palirria/internal/topo"
 	"palirria/internal/trace"
@@ -128,22 +127,6 @@ type Config struct {
 	// 64): the aggregate number of submitted-but-unstarted job roots across
 	// all per-worker injection shards. Irrelevant for batch Run.
 	SubmitQueueCap int
-
-	// Events, when set, streams scheduler events onto the hub: a
-	// background pump drains the obs rings every few milliseconds and
-	// republishes selected kinds as stream.KindSched events. Workers keep
-	// their allocation-free ring emission; a nil hub leaves every hot path
-	// exactly as before. If Tracer is nil the runtime creates a private
-	// one (modest 4K rings) to feed the pump; if a Tracer is supplied the
-	// pump takes over its ring consumption — do not also call
-	// Tracer.Drain for trace export on the same run.
-	Events *stream.Hub
-	// EventLabel is stamped into Event.Pool on pumped events (the serving
-	// layer sets it to the pool name).
-	EventLabel string
-	// EventKinds selects which obs ring kinds the pump forwards (default
-	// stream.DefaultPumpKinds: grant, retire, park).
-	EventKinds []obs.Kind
 }
 
 // WorkerReport is one worker's accounting, in nanoseconds where the
@@ -197,10 +180,9 @@ type Runtime struct {
 	mgr  *sysched.Manager
 	ctrl *core.Controller
 
-	workers map[topo.CoreID]*worker
-	// workerList is the same set in core-id order, for lock-free iteration
-	// on paths that want a stable order (shard scans, the shutdown flush,
-	// the seal barrier — lock order matters there).
+	// workerList holds one worker per usable core in core-id order. Every
+	// walk over the workers goes through it, so walks are deterministic
+	// and the seal barrier has a single lock order.
 	workerList []*worker
 	// byID is a dense CoreID -> worker index for the hot paths (steal
 	// probes, shard scans): a slice load is ~3x cheaper than a map lookup
@@ -253,10 +235,8 @@ type Runtime struct {
 	// helperRing carries the helper goroutine's grant/quantum events;
 	// allotSize and quanta back the live metrics gauges.
 	helperRing *obs.Ring
-	// pump republishes ring events on cfg.Events (nil without a hub).
-	pump      *stream.Pump
-	allotSize atomic.Int64
-	quanta    atomic.Int64
+	allotSize  atomic.Int64
+	quanta     atomic.Int64
 
 	// qseq is the estimation-quantum sequence number. Workers reset their
 	// µ(Q) high-water mark lazily on the first spawn of each quantum
@@ -313,11 +293,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.SubmitQueueCap <= 0 {
 		cfg.SubmitQueueCap = 64
 	}
-	if cfg.Events != nil && cfg.Tracer == nil {
-		// The stream pump sources from obs rings; give it private,
-		// modestly-sized ones when the caller didn't ask for tracing.
-		cfg.Tracer = obs.NewTracer(obs.WithRingCap(4096), obs.WithTicksPerMicro(1000))
-	}
 	opts := []sysched.Option{sysched.WithInitialDiaspora(cfg.InitialDiaspora)}
 	if cfg.MaxDiaspora > 0 {
 		opts = append(opts, sysched.WithMaxDiaspora(cfg.MaxDiaspora))
@@ -330,7 +305,6 @@ func New(cfg Config) (*Runtime, error) {
 		cfg:      cfg,
 		mesh:     cfg.Mesh,
 		mgr:      mgr,
-		workers:  make(map[topo.CoreID]*worker),
 		rootDone: make(chan struct{}),
 	}
 	if cfg.Estimator != nil {
@@ -348,7 +322,6 @@ func New(cfg Config) (*Runtime, error) {
 			w.ring = cfg.Tracer.NewRing(false)
 			cfg.Tracer.SetWorkerName(int32(id), fmt.Sprintf("core %d", id))
 		}
-		r.workers[id] = w
 		r.workerList = append(r.workerList, w)
 		r.byID[id] = w
 		shards = append(shards, w.shard)
@@ -372,7 +345,7 @@ func (r *Runtime) registerMetrics(reg *obs.Registry) {
 	sum := func(f func(*worker) *int64) func() float64 {
 		return func() float64 {
 			var t int64
-			for _, w := range r.workers {
+			for _, w := range r.workerList {
 				t += atomic.LoadInt64(f(w))
 			}
 			return float64(t)
@@ -403,9 +376,9 @@ func (r *Runtime) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(r.backlogTotal()) }, base...)
 	reg.GaugeFunc("palirria_submit_slack", "Unreserved submission-backlog capacity (global pool plus per-shard credit caches).",
 		func() float64 { return float64(r.ledger.slack()) }, base...)
-	for id, w := range r.workers {
+	for _, w := range r.workerList {
 		w := w
-		lbls := append(append([]obs.Label(nil), base...), obs.Label{Key: "core", Value: fmt.Sprint(id)})
+		lbls := append(append([]obs.Label(nil), base...), obs.Label{Key: "core", Value: fmt.Sprint(w.id)})
 		reg.GaugeFunc("palirria_worker_useful_ns", "Nanoseconds spent executing tasks.",
 			func() float64 { return float64(atomic.LoadInt64(&w.stats.UsefulNS)) }, lbls...)
 		reg.GaugeFunc("palirria_worker_search_ns", "Nanoseconds spent searching for work.",
@@ -432,7 +405,7 @@ func (r *Runtime) Run(root Func) (*Report, error) {
 		r.finished.Store(true)
 		close(r.rootDone)
 	}}
-	r.workers[r.cfg.Source].deque.PushBottom(rootTask) // empty deque: cannot be full
+	r.byID[r.cfg.Source].deque.PushBottom(rootTask) // empty deque: cannot be full
 	r.launch(false)
 
 	<-r.rootDone
@@ -562,7 +535,7 @@ func (r *Runtime) launch(persistent bool) {
 	r.startNS = nowNS()
 	granted := r.mgr.Current()
 	r.recordTimeline(granted.Size())
-	for _, w := range r.workers {
+	for _, w := range r.workerList {
 		w.pickup = persistent
 		if granted.Contains(w.id) {
 			w.state.Store(stateActive)
@@ -571,14 +544,6 @@ func (r *Runtime) launch(persistent bool) {
 		}
 		r.wg.Add(1)
 		go w.loop()
-	}
-	if r.cfg.Events != nil {
-		r.pump = stream.NewPump(r.cfg.Events, r.cfg.Tracer, stream.PumpConfig{
-			Label:  r.cfg.EventLabel,
-			Kinds:  r.cfg.EventKinds,
-			BaseNS: r.startNS,
-		})
-		r.pump.Start()
 	}
 	r.stopHelper = make(chan struct{})
 	r.helperDone = make(chan struct{})
@@ -598,16 +563,10 @@ func (r *Runtime) teardown() {
 		close(r.stopHelper)
 	}
 	<-r.helperDone
-	for _, w := range r.workers {
+	for _, w := range r.workerList {
 		w.stop()
 	}
 	r.wg.Wait()
-	if r.pump != nil {
-		// Workers are quiescent: the pump's final drain flushes every
-		// remaining ring event onto the hub before teardown returns.
-		r.pump.Stop()
-		r.pump = nil
-	}
 }
 
 // buildReport assembles the final accounting after all workers stopped.
@@ -621,12 +580,12 @@ func (r *Runtime) buildReport(wall int64) *Report {
 	r.tlMu.Lock()
 	rep.MaxWorkers = r.timeline.Max()
 	r.tlMu.Unlock()
-	for id, w := range r.workers {
+	for _, w := range r.workerList {
 		if w.stats.Tasks == 0 && w.stats.FailedProbes == 0 {
 			continue
 		}
 		ws := w.stats
-		rep.Workers[id] = &ws
+		rep.Workers[w.id] = &ws
 	}
 	return rep
 }
