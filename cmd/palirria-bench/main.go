@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -54,7 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	if err := run(*fig, *summary, *ablations, *multiprog, *rt, *all, *seeds); err != nil {
+	if err := run(os.Stdout, *fig, *summary, *ablations, *multiprog, *rt, *all, *seeds); err != nil {
 		fmt.Fprintln(os.Stderr, "palirria-bench:", err)
 		os.Exit(1)
 	}
@@ -100,14 +101,14 @@ func traceRun(wl, path string) error {
 	return nil
 }
 
-func run(fig int, summary, ablations, multiprog, rt, all bool, nseeds int) error {
+// run prints the selected figures and tables to out.
+func run(out io.Writer, fig int, summary, ablations, multiprog, rt, all bool, nseeds int) error {
 	var seeds []uint64
 	if nseeds > 1 {
 		for i := 0; i < nseeds; i++ {
 			seeds = append(seeds, uint64(9+i))
 		}
 	}
-	out := os.Stdout
 	var simSuite, linuxSuite []experiments.WorkloadRuns
 	var err error
 	needSim := all || summary || fig == 5 || fig == 6

@@ -228,8 +228,10 @@ func (n *Node) Start() {
 
 // Stop halts the gossip loop and waits for it. Idempotent; the handlers
 // stay functional (a stopped node still answers /gossip and /cluster, it
-// just no longer initiates exchanges or advances its heartbeat).
+// just no longer initiates exchanges or advances its heartbeat). On a node
+// that was never started it returns at once, and a later Start is a no-op.
 func (n *Node) Stop() {
+	n.startOnce.Do(func() { close(n.stopped) })
 	n.stopOnce.Do(func() { close(n.stop) })
 	<-n.stopped
 }

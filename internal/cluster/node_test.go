@@ -175,6 +175,30 @@ func TestSuspectRecovery(t *testing.T) {
 	}
 }
 
+// TestStopWithoutStartReturns: Stop on a node whose loop never ran must not
+// wait for it, a second Stop must not either, and a Start after Stop must
+// not launch the loop.
+func TestStopWithoutStartReturns(t *testing.T) {
+	n, err := NewNode(Config{Addr: "http://127.0.0.1:1", Interval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		done := make(chan struct{})
+		go func() { n.Stop(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("Stop #%d on a never-started node blocked", i)
+		}
+	}
+	n.Start()
+	time.Sleep(50 * time.Millisecond)
+	if r := n.rounds.Load(); r != 0 {
+		t.Fatalf("Start after Stop ran %d gossip rounds, want 0", r)
+	}
+}
+
 func TestBadSignatureRejected(t *testing.T) {
 	n1, ts1 := testNode(t, "s3cret", nil, nil, nil)
 	n2, _ := testNode(t, "wrong", []string{ts1.URL}, nil, nil)

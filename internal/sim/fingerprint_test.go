@@ -55,8 +55,11 @@ func wideRoot() *task.Spec {
 }
 
 // fingerprintCases is the pinned set: every scheduler arm, both machine
-// models, the inline-spawn, unfiltered, draining and leapfrog paths, and a
-// three-job multiprogrammed run.
+// models, the inline-spawn, unfiltered, draining and leapfrog paths, a
+// three-job multiprogrammed run, and internal/workload's own fib generator
+// (the other fib cases use the test-local fibRoot). The two workload-fib
+// cases were generated while that generator still built a fresh spec per
+// task instance; sharing one spec per fib(k) must reproduce them.
 func fingerprintCases() []fingerprintCase {
 	stress := workload.Input{N: 2500, Grain: 400, Extra: []int64{5, 50}, Seed: 20}
 	skew := workload.Input{N: 8, Grain: 400, Extra: []int64{6, 5}, Seed: 21}
@@ -64,6 +67,7 @@ func fingerprintCases() []fingerprintCase {
 	fft := workload.Input{N: 8 * 1024, Cutoff: 512, Grain: 1}
 	strassen := workload.Input{N: 256, Cutoff: 128, Grain: 2, Extra: []int64{2}}
 	sortIn := workload.Input{N: 16 * 1024, Cutoff: 1024, Grain: 1, Extra: []int64{4 * 1024}}
+	fib := workload.Input{N: 16, Grain: 220, Extra: []int64{40}}
 
 	return []fingerprintCase{
 		{name: "palirria-dvs-stress", single: func() Config {
@@ -135,6 +139,16 @@ func fingerprintCases() []fingerprintCase {
 				{Name: "phases", Source: m.ID(topo.Coord{X: 4, Y: 6}),
 					Root: wl("sort", sortIn), FixedWorkers: 20, Policy: "roundrobin"},
 			}}
+		}},
+		{name: "fixed-dvs-workload-fib", single: func() Config {
+			m, src := simMesh()
+			return Config{Mesh: m, Source: src, Root: wl("fib", fib), InitialDiaspora: 3}
+		}},
+		{name: "palirria-dvs-workload-fib-numa", single: func() Config {
+			m, src := linuxMesh()
+			return Config{Mesh: m, Source: src, Root: wl("fib", fib),
+				InitialDiaspora: 1, MaxDiaspora: 6, Machine: NewNUMA(m),
+				Estimator: core.NewPalirria(), Quantum: 20000}
 		}},
 	}
 }

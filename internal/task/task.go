@@ -13,10 +13,14 @@
 //	             thief otherwise
 //
 // Children are produced by Builder closures so that trees with millions of
-// nodes never exist in memory at once: a child spec materializes when it is
-// spawned and becomes garbage when it completes. Builders must be
-// deterministic — the simulator's reproducibility depends on it — so any
-// randomness inside workload generators derives from fixed seeds.
+// nodes never exist in memory at once. What exists between a task's spawn
+// and its join is the platform's frame (the simulator's frame, the runtime's
+// Ctx), which holds the execution state — program counter, outstanding
+// spawns. A spec only describes the task, so a builder may return a fresh
+// spec per instance or one spec shared by every instance of the same node
+// (workload's fib does the latter). Builders must be deterministic — the
+// simulator's reproducibility depends on it — so any randomness inside
+// workload generators derives from fixed seeds.
 package task
 
 import "fmt"
@@ -51,7 +55,9 @@ func (k OpKind) String() string {
 }
 
 // Builder lazily produces a task spec. Builders must be deterministic and
-// side-effect free; they may be invoked on any worker.
+// side-effect free; they may be invoked on any worker, concurrently. A
+// builder may return a spec shared with other instances or other trees:
+// execution state lives in the platform's frame or Ctx, never in the spec.
 type Builder func() *Spec
 
 // Op is one instruction of a task program.

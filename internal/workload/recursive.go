@@ -21,30 +21,41 @@ var Fib = register(&Def{
 	},
 })
 
+// buildFib builds one spec per distinct node fib(0..N), bottom-up, and
+// shares it among every instance of that node: fib(k) spawns fib(k-1)'s
+// spec and calls fib(k-2)'s. The table is complete before Build returns, so
+// platforms walking the tree concurrently only read it, and it becomes
+// garbage with the tree.
 func buildFib(in Input) *task.Spec {
 	add := int64(20)
 	if len(in.Extra) > 0 {
 		add = in.Extra[0]
 	}
-	return fibSpec(int(in.N), in.Grain, add)
-}
-
-func fibSpec(n int, leaf, add int64) *task.Spec {
-	if n < 2 {
-		s := task.Leaf(fmt.Sprintf("fib(%d)", n), leaf)
+	leaf := func(k int) *task.Spec {
+		s := task.Leaf(fmt.Sprintf("fib(%d)", k), in.Grain)
 		s.Footprint = 64
 		return s
 	}
-	return &task.Spec{
-		Label:     fmt.Sprintf("fib(%d)", n),
-		Footprint: 64,
-		Ops: []task.Op{
-			task.Spawn(func() *task.Spec { return fibSpec(n-1, leaf, add) }),
-			task.Call(func() *task.Spec { return fibSpec(n-2, leaf, add) }),
-			task.Sync(),
-			task.Compute(add),
-		},
+	n := int(in.N)
+	if n < 2 {
+		return leaf(n)
 	}
+	specs := make([]*task.Spec, n+1)
+	specs[0], specs[1] = leaf(0), leaf(1)
+	for k := 2; k <= n; k++ {
+		spawned, called := specs[k-1], specs[k-2]
+		specs[k] = &task.Spec{
+			Label:     fmt.Sprintf("fib(%d)", k),
+			Footprint: 64,
+			Ops: []task.Op{
+				task.Spawn(func() *task.Spec { return spawned }),
+				task.Call(func() *task.Spec { return called }),
+				task.Sync(),
+				task.Compute(add),
+			},
+		}
+	}
+	return specs[n]
 }
 
 // NQueens models the BOTS nQueens search: a wide, balanced tree of depth

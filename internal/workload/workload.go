@@ -25,6 +25,12 @@
 // Inputs are scaled down from the paper's so the full evaluation runs in
 // minutes on a laptop rather than hours on a 48-core machine; the scaling
 // preserves tree shape and relative grain (see DESIGN.md substitutions).
+//
+// Fib builds one spec per distinct node per Build call and shares it among
+// every instance of that node; the other generators build a spec per task,
+// because nqueens, skew and stress set each grain from a per-node hash or
+// leaf index, and fft, sort and strassen build too few nodes per run (about
+// 1 150 at most) for sharing to move any number.
 package workload
 
 import (

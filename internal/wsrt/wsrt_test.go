@@ -172,6 +172,41 @@ func TestSpecAdapterMatchesTree(t *testing.T) {
 	}
 }
 
+// TestSharedFibSpecsOnRuntime runs workload's fib, whose tree shares one
+// spec per fib(k) across every instance, concurrently on the real runtime
+// under Palirria — and runs the same built tree a second time, since a
+// shared spec must carry no execution state. Under -race this is the check
+// that concurrent walks of shared specs only read them.
+func TestSharedFibSpecsOnRuntime(t *testing.T) {
+	d, _ := workload.Get("fib")
+	root := d.Build(workload.Input{N: 18, Grain: 220, Extra: []int64{40}})
+	st, err := task.Measure(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		rt, err := New(Config{
+			Mesh: topo.MustMesh(4, 2), Source: 0,
+			Estimator: core.NewPalirria(),
+			Quantum:   500 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := rt.Run(SpecFunc(root))
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		var tasks int64
+		for _, w := range rep.Workers {
+			tasks += w.Tasks
+		}
+		if tasks != st.Spawns+1 {
+			t.Fatalf("run %d: tasks = %d, want spawns+1 = %d", run, tasks, st.Spawns+1)
+		}
+	}
+}
+
 func TestAdaptivePalirriaGrowsAndShrinks(t *testing.T) {
 	mesh := topo.MustMesh(4, 2)
 	rt, err := New(Config{
