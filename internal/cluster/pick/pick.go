@@ -40,7 +40,7 @@ type Options struct {
 	// (default 2s).
 	BreakFor time.Duration
 	// StickyFor bounds how long a sticky key pins its node without a
-	// successful use (default 10s).
+	// successful use (default 10s); Report drops older pins.
 	StickyFor time.Duration
 	// Rand seeds the two-choice sampling; defaults to a time-seeded
 	// source. Tests inject a fixed seed.
@@ -63,6 +63,10 @@ type Picker struct {
 type stickyEntry struct {
 	id      string
 	renewed time.Time
+	// picked is set when the pin routes a submission and cleared when a
+	// success on its node renews it: a success renews only the pins in use,
+	// not every pin that ever named the node.
+	picked bool
 }
 
 // New builds a picker over src, which returns the current candidate rows
@@ -187,9 +191,13 @@ func (p *Picker) PickSticky(key string, exclude ...string) (cluster.PeerStatus, 
 	now := p.opt.Now()
 	p.mu.Lock()
 	ent := p.sticky[key]
+	live := ent != nil && !p.expired(ent, now)
 	p.mu.Unlock()
-	if ent != nil && now.Sub(ent.renewed) <= p.opt.StickyFor && !contains(exclude, ent.id) {
+	if live && !contains(exclude, ent.id) {
 		if c, ok := p.candidate(ent.id, now); ok {
+			p.mu.Lock()
+			ent.picked = true
+			p.mu.Unlock()
 			return c, nil
 		}
 	}
@@ -198,9 +206,15 @@ func (p *Picker) PickSticky(key string, exclude ...string) (cluster.PeerStatus, 
 		return c, err
 	}
 	p.mu.Lock()
-	p.sticky[key] = &stickyEntry{id: c.ID, renewed: now}
+	p.sticky[key] = &stickyEntry{id: c.ID, renewed: now, picked: true}
 	p.mu.Unlock()
 	return c, nil
+}
+
+// expired reports whether ent's pin has gone unused for longer than
+// StickyFor. The caller holds p.mu.
+func (p *Picker) expired(ent *stickyEntry, now time.Time) bool {
+	return now.Sub(ent.renewed) > p.opt.StickyFor
 }
 
 // candidate re-validates a pinned id against the live view: it must still
@@ -220,8 +234,10 @@ func (p *Picker) candidate(id string, now time.Time) (cluster.PeerStatus, bool) 
 }
 
 // Report feeds an attempt's outcome back: success closes the node's
-// breaker and renews any sticky pins on it; failure counts toward opening
-// it.
+// breaker and renews the sticky pins that routed to it since their last
+// renewal; failure counts toward opening it and drops the node's pins.
+// Either way it drops every expired pin, so the sticky table holds only
+// the keys in use within the last StickyFor.
 func (p *Picker) Report(id string, ok bool) {
 	now := p.opt.Now()
 	p.mu.Lock()
@@ -233,17 +249,15 @@ func (p *Picker) Report(id string, ok bool) {
 	}
 	if ok {
 		b.succeed()
-		for _, ent := range p.sticky {
-			if ent.id == id {
-				ent.renewed = now
-			}
-		}
-		return
+	} else {
+		b.fail(p.opt.BreakAfter, p.opt.BreakFor, now)
 	}
-	b.fail(p.opt.BreakAfter, p.opt.BreakFor, now)
 	for key, ent := range p.sticky {
-		if ent.id == id {
+		switch {
+		case p.expired(ent, now) || (!ok && ent.id == id):
 			delete(p.sticky, key)
+		case ok && ent.id == id && ent.picked:
+			ent.renewed, ent.picked = now, false
 		}
 	}
 }

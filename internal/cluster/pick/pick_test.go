@@ -1,6 +1,7 @@
 package pick
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -282,5 +283,46 @@ func TestStickyFollowsHealth(t *testing.T) {
 	}
 	if c.ID == first.ID {
 		t.Fatal("sticky pick kept a node that began shedding")
+	}
+}
+
+// TestStickyTableDropsExpiredPins: distinct sticky keys (every ?sticky=K,
+// every batch client address) must not pile up for the router's lifetime.
+// After 10 000 keys spread over five StickyFor windows only the last
+// window's pins remain, and a live pin still sticks.
+func TestStickyTableDropsExpiredPins(t *testing.T) {
+	rows := []cluster.PeerStatus{
+		serveRow("n1", cluster.StateAlive, 4, false),
+		serveRow("n2", cluster.StateAlive, 4, false),
+		serveRow("n3", cluster.StateAlive, 4, false),
+	}
+	p, now := testPicker(rows)
+	const keys = 10_000
+	step := 5 * p.opt.StickyFor / keys
+	var last cluster.PeerStatus
+	for i := 0; i < keys; i++ {
+		*now = now.Add(step)
+		c, err := p.PickSticky(fmt.Sprintf("k%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Report(c.ID, true)
+		last = c
+	}
+	window := int(p.opt.StickyFor/step) + 1
+	if n := len(p.sticky); n > window {
+		t.Fatalf("sticky table holds %d pins, want at most the last window's %d", n, window)
+	}
+	if _, ok := p.sticky["k0"]; ok {
+		t.Fatal("the first key's pin outlived five StickyFor windows")
+	}
+	for i := 0; i < 20; i++ {
+		c, err := p.PickSticky(fmt.Sprintf("k%d", keys-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ID != last.ID {
+			t.Fatalf("live pin moved from %s to %s", last.ID, c.ID)
+		}
 	}
 }

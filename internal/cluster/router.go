@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,14 +118,20 @@ func stickyKey(r *http.Request) string {
 
 // handleSubmit proxies one submission, failing over across nodes. The
 // submission body is buffered (palirria-serve submissions are query-only,
-// so this is tiny) to make the retries safe to replay.
+// so this is tiny) to make the retries safe to replay; a body over
+// maxWireBody is refused with 413 rather than forwarded cut short.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxWireBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBody))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("body over %d bytes", maxWireBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad body", http.StatusBadRequest)
 		return
 	}

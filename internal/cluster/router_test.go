@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"palirria/internal/obs/stream"
@@ -107,6 +109,45 @@ func TestRouterProxiesSubmit(t *testing.T) {
 	}
 	if got := p.reports["n1"]; len(got) != 1 || !got[0] {
 		t.Fatalf("reports = %v", p.reports)
+	}
+}
+
+// TestRouterRefusesOversizeBody: a body over maxWireBody is answered 413
+// and never forwarded, not cut to the limit and replayed on every retry;
+// a small body still routes.
+func TestRouterRefusesOversizeBody(t *testing.T) {
+	var seen atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen.Add(1)
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // test backend
+	}))
+	defer backend.Close()
+
+	p := &scriptedPicker{targets: []PeerStatus{peerFor(backend, "n1"), peerFor(backend, "n2")}}
+	rt := testRouter(t, p, nil)
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	post := func(n int) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/submit?mode=mesh", "", bytes.NewReader(make([]byte, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(2 << 20); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want 413", got)
+	}
+	if n := seen.Load(); n != 0 || rt.Routed() != 0 || rt.Failed() != 0 {
+		t.Fatalf("oversize body reached the node %d times (routed %d, failed %d)", n, rt.Routed(), rt.Failed())
+	}
+	if got := post(512); got != http.StatusOK {
+		t.Fatalf("small body: status %d, want 200", got)
+	}
+	if n := seen.Load(); n != 1 {
+		t.Fatalf("node saw %d requests, want 1", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"palirria/internal/core"
 	"palirria/internal/dvs"
@@ -183,107 +184,95 @@ type MultiResult struct {
 	EstimatorTrace []obs.EstimatorSnapshot
 }
 
-// slot is one entry of the event queue: the next activation of worker id,
-// or of the estimator tick (id == engine.tick). It holds no pointers, so
-// moving it costs no write barrier and the collector never scans the queue.
+// slot is the key of one event-queue entry: the next activation of an id —
+// a worker, or the estimator tick (id == engine.tick). It holds no
+// pointers, so the collector never scans the queue.
 type slot struct {
 	at  int64
 	seq uint64
-	id  int32
 }
 
-// before orders slots by (time, sequence).
-func (s *slot) before(o *slot) bool {
-	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
-}
+// notQueued is the key of an id with nothing scheduled; it sorts after
+// every real slot.
+var notQueued = slot{at: math.MaxInt64, seq: math.MaxUint64}
 
-// slotQueue is an indexed binary min-heap holding at most one slot per id:
-// rescheduling moves the slot, so nothing superseded is ever queued. seq
-// numbers every set call, superseding ones included, so equal-time slots
-// fire in the order they were last scheduled.
+// slotQueue is a winner (tournament) tree holding at most one slot per id:
+// rescheduling rewrites the id's key, so nothing superseded is ever queued.
+// seq numbers every set call, superseding ones included, so equal-time
+// slots fire in the order they were last scheduled.
+//
+// keys[id] is id's slot (notQueued while not queued). tree is a complete
+// binary tree over a power-of-two range of leaves, leaf id at
+// tree[len(tree)/2+id]; every internal node names the id with the earliest
+// key below it, so tree[1] is the next due id. A set or remove rewrites one
+// key and replays its matches on the leaf-to-root path against the sibling
+// subtrees' winners: a fixed number of levels, six for 64 leaves.
 type slotQueue struct {
-	heap []slot
-	// idx[id] is id's position in heap, -1 while not queued.
-	idx []int32
-	seq uint64
+	keys []slot
+	tree []int32
+	seq  uint64
 }
 
 func newSlotQueue(ids int) slotQueue {
-	q := slotQueue{heap: make([]slot, 0, ids), idx: make([]int32, ids)}
-	for i := range q.idx {
-		q.idx[i] = -1
+	leaves := 1
+	for leaves < ids {
+		leaves *= 2
+	}
+	q := slotQueue{keys: make([]slot, leaves), tree: make([]int32, 2*leaves)}
+	for id := range q.keys {
+		q.keys[id] = notQueued
+		q.tree[leaves+id] = int32(id)
+	}
+	for i := leaves - 1; i > 0; i-- {
+		q.tree[i] = q.tree[2*i]
 	}
 	return q
 }
 
-// set schedules id at time at, moving its slot if it is already queued.
+// min returns the next due id and its slot; the slot is notQueued when the
+// queue is empty.
+func (q *slotQueue) min() (int32, slot) {
+	id := q.tree[1]
+	return id, q.keys[id]
+}
+
+// set schedules id at time at, superseding its slot if it is already
+// queued.
 func (q *slotQueue) set(id int32, at int64) {
 	q.seq++
-	s := slot{at: at, seq: q.seq, id: id}
-	i := int(q.idx[id])
-	if i < 0 {
-		i = len(q.heap)
-		q.heap = append(q.heap, s)
-		q.up(i, s)
-		return
-	}
-	if !q.up(i, s) {
-		q.down(i, s)
-	}
+	q.keys[id] = slot{at: at, seq: q.seq}
+	q.replay(id)
 }
 
 // remove takes id's slot out of the queue.
 func (q *slotQueue) remove(id int32) {
-	i, n := int(q.idx[id]), len(q.heap)-1
-	last := q.heap[n]
-	q.heap = q.heap[:n]
-	q.idx[id] = -1
-	if i == n {
-		return
-	}
-	if !q.up(i, last) {
-		q.down(i, last)
+	q.keys[id] = notQueued
+	q.replay(id)
+}
+
+// replay recomputes the winners on id's leaf-to-root path after its key
+// changed. The (at, seq) comparison is evaluated without short-circuit
+// branches so that the winner update compiles to conditional moves: which
+// side wins is data-dependent, so a branch here is mispredicted about half
+// the time.
+func (q *slotQueue) replay(id int32) {
+	keys, tree := q.keys, q.tree
+	w, at, seq := id, keys[id].at, keys[id].seq
+	for i := len(tree)/2 + int(id); i > 1; i >>= 1 {
+		o := tree[i^1]
+		oat, oseq := keys[o].at, keys[o].seq
+		if b2i(oat < at)|b2i(oat == at)&b2i(oseq < seq) != 0 {
+			w, at, seq = o, oat, oseq
+		}
+		tree[i>>1] = w
 	}
 }
 
-// up places s at i or above, shifting later slots down, and reports whether
-// it rose.
-func (q *slotQueue) up(i int, s slot) bool {
-	h, start := q.heap, i
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		q.idx[h[i].id] = int32(i)
-		i = p
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	h[i] = s
-	q.idx[s.id] = int32(i)
-	return i != start
-}
-
-// down places s at i or below, shifting earlier slots up.
-func (q *slotQueue) down(i int, s slot) {
-	h := q.heap
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
-			c = r
-		}
-		if !h[c].before(&s) {
-			break
-		}
-		h[i] = h[c]
-		q.idx[h[i].id] = int32(i)
-		i = c
-	}
-	h[i] = s
-	q.idx[s.id] = int32(i)
+	return 0
 }
 
 // jobState is one application's live scheduling state inside the engine.
@@ -690,8 +679,11 @@ func (e *engine) schedule(w *worker, t int64) { e.queue.set(int32(w.id), t) }
 func (e *engine) scheduleQuantum(t int64) { e.queue.set(e.tick, t) }
 
 func (e *engine) run() error {
-	for len(e.queue.heap) > 0 {
-		s := e.queue.heap[0]
+	for {
+		id, s := e.queue.min()
+		if s == notQueued {
+			break
+		}
 		if s.at < e.now {
 			return fmt.Errorf("sim: time went backwards (%d < %d)", s.at, e.now)
 		}
@@ -702,22 +694,22 @@ func (e *engine) run() error {
 		if e.unfinished == 0 {
 			break
 		}
-		// The due slot stays at the root while it fires — nothing scheduled
+		// The due slot stays queued while it fires — nothing scheduled
 		// meanwhile can sort before it — so the usual self-reschedule is one
-		// sift down instead of a removal and a push.
-		if s.id == e.tick {
+		// rewrite of its key instead of a removal and a set.
+		if id == e.tick {
 			e.quantumTick()
 			if e.unfinished > 0 {
 				e.scheduleQuantum(e.now + e.quantum)
 			}
-		} else if w := e.workers[s.id]; !w.retired {
+		} else if w := e.workers[id]; !w.retired {
 			// A worker retired with its slot still queued — its job
 			// finished under it in RunMulti — fires as a no-op.
 			e.eventCount++
 			w.step()
 		}
-		if e.queue.heap[e.queue.idx[s.id]].seq == s.seq {
-			e.queue.remove(s.id) // fired without rescheduling itself
+		if e.queue.keys[id].seq == s.seq {
+			e.queue.remove(id) // fired without rescheduling itself
 		}
 	}
 	if e.unfinished > 0 {

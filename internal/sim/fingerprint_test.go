@@ -67,6 +67,7 @@ func fingerprintCases() []fingerprintCase {
 	fft := workload.Input{N: 8 * 1024, Cutoff: 512, Grain: 1}
 	strassen := workload.Input{N: 256, Cutoff: 128, Grain: 2, Extra: []int64{2}}
 	sortIn := workload.Input{N: 16 * 1024, Cutoff: 1024, Grain: 1, Extra: []int64{4 * 1024}}
+	sortNUMA := workload.Input{N: 32 * 1024, Cutoff: 1024, Grain: 1, Extra: []int64{4 * 1024}}
 	fib := workload.Input{N: 16, Grain: 220, Extra: []int64{40}}
 
 	return []fingerprintCase{
@@ -149,6 +150,16 @@ func fingerprintCases() []fingerprintCase {
 			return Config{Mesh: m, Source: src, Root: wl("fib", fib),
 				InitialDiaspora: 1, MaxDiaspora: 6, Machine: NewNUMA(m),
 				Estimator: core.NewPalirria(), Quantum: 20000}
+		}},
+		// Random victims under the NUMA model. Twice sortIn's size, so the
+		// two spawned half merges carry 128 KB footprints: a cross-socket
+		// steal of one reaches the migration cap (sortIn's 64 KB never
+		// does), and the steals reach every StealPenalty arm.
+		{name: "asteal-random-sort-numa", single: func() Config {
+			m, src := linuxMesh()
+			return Config{Mesh: m, Source: src, Root: wl("sort", sortNUMA),
+				InitialDiaspora: 1, MaxDiaspora: 6, Policy: "random", Seed: 3,
+				Machine: NewNUMA(m), Estimator: asteal.New(), Quantum: 20000}
 		}},
 	}
 }
@@ -289,37 +300,37 @@ func ranEngine(t testing.TB, c fingerprintCase) *engine {
 }
 
 // TestQueueHoldsNoStaleSlots checks, after every pinned configuration, that
-// the event queue holds at most each worker's own slot plus the tick: no
-// superseded activation is ever left behind to be popped and dropped.
+// the event queue is a sound winner tree holding at most each joined
+// worker's own slot plus the tick: no superseded activation is ever left
+// behind to be popped and dropped.
 func TestQueueHoldsNoStaleSlots(t *testing.T) {
 	for _, c := range fingerprintCases() {
 		e := ranEngine(t, c)
 		q := &e.queue
-		if cap(q.heap) != len(e.workers)+1 {
-			t.Errorf("%s: queue grew to cap %d on %d cores: more than one slot per worker plus the tick",
-				c.name, cap(q.heap), len(e.workers))
+		if msg := checkTree(q); msg != "" {
+			t.Errorf("%s: %s", c.name, msg)
 		}
-		joined := 0
-		for id, w := range e.workers {
-			i := q.idx[id]
-			if w == nil {
-				if i != -1 {
-					t.Errorf("%s: core %d never joined but is queued at %d", c.name, id, i)
+		joined, queued := 0, 0
+		for id, k := range q.keys {
+			if k != notQueued {
+				queued++
+			}
+			switch {
+			case id == int(e.tick):
+			case id > int(e.tick):
+				if k != notQueued {
+					t.Errorf("%s: padding leaf %d is queued: %+v", c.name, id, k)
 				}
-				continue
-			}
-			joined++
-			if i != -1 && (int(i) >= len(q.heap) || q.heap[i].id != int32(id)) {
-				t.Errorf("%s: worker %d: idx %d does not hold its own slot", c.name, id, i)
+			case e.workers[id] == nil:
+				if k != notQueued {
+					t.Errorf("%s: core %d never joined but is queued: %+v", c.name, id, k)
+				}
+			default:
+				joined++
 			}
 		}
-		if len(q.heap) > joined+1 {
-			t.Errorf("%s: %d slots queued for %d workers", c.name, len(q.heap), joined)
-		}
-		for i, s := range q.heap {
-			if q.idx[s.id] != int32(i) {
-				t.Errorf("%s: heap[%d] is id %d, whose idx says %d", c.name, i, s.id, q.idx[s.id])
-			}
+		if queued > joined+1 {
+			t.Errorf("%s: %d slots queued for %d workers", c.name, queued, joined)
 		}
 	}
 }

@@ -74,6 +74,86 @@ func TestNUMAMigrationScaling(t *testing.T) {
 	}
 }
 
+// TestNUMAPenaltiesTable checks every (thief, victim) pair of the reserved
+// 8x6 mesh against the division formula for the core's column, so a change
+// to how topo.Mesh finds coordinates cannot move a penalty.
+func TestNUMAPenaltiesTable(t *testing.T) {
+	m := topo.MustMesh(8, 6)
+	m.Reserve(0, 1, 2)
+	n := NewNUMA(m)
+	node := func(id topo.CoreID) int { return int(id) % 8 }
+	for a := topo.CoreID(0); int(a) < m.NumCores(); a++ {
+		for b := topo.CoreID(0); int(b) < m.NumCores(); b++ {
+			probe, steal, warm := n.RemoteProbe, n.RemoteSteal, int64(2*64*1024)
+			switch {
+			case node(a) == node(b):
+				probe, steal, warm = 0, n.NodeSteal, 0
+			case node(a)/2 == node(b)/2:
+				steal, warm = n.SocketSteal, 64*1024
+			}
+			if got := n.ProbePenalty(a, b); got != probe {
+				t.Fatalf("ProbePenalty(%d, %d) = %d, want %d", a, b, got, probe)
+			}
+			if got := n.StealPenalty(a, b); got != steal {
+				t.Fatalf("StealPenalty(%d, %d) = %d, want %d", a, b, got, steal)
+			}
+			if got := n.MigrationPenalty(a, b, 64*1024); got != warm {
+				t.Fatalf("MigrationPenalty(%d, %d, 64K) = %d, want %d", a, b, got, warm)
+			}
+			if capped := n.MigrationPenalty(a, b, 1<<20); warm != 0 && capped != n.WarmupCap {
+				t.Fatalf("MigrationPenalty(%d, %d, 1M) = %d, want the cap %d", a, b, capped, n.WarmupCap)
+			}
+		}
+	}
+}
+
+// armCounter wraps NUMA and tallies which penalty arms a run reaches.
+type armCounter struct {
+	*NUMA
+	steal  map[int64]int
+	capped int
+}
+
+func (c *armCounter) StealPenalty(thief, victim topo.CoreID) int64 {
+	p := c.NUMA.StealPenalty(thief, victim)
+	c.steal[p]++
+	return p
+}
+
+func (c *armCounter) MigrationPenalty(origin, thief topo.CoreID, footprint int64) int64 {
+	p := c.NUMA.MigrationPenalty(origin, thief, footprint)
+	if p == c.WarmupCap {
+		c.capped++
+	}
+	return p
+}
+
+// TestNUMASortCaseReachesEveryArm backs the asteal-random-sort-numa
+// fingerprint case's reason for existing: its steals reach all three
+// StealPenalty arms and at least one capped MigrationPenalty.
+func TestNUMASortCaseReachesEveryArm(t *testing.T) {
+	for _, c := range fingerprintCases() {
+		if c.name != "asteal-random-sort-numa" {
+			continue
+		}
+		cfg := c.single()
+		arms := &armCounter{NUMA: cfg.Machine.(*NUMA), steal: map[int64]int{}}
+		cfg.Machine = arms
+		mustRun(t, cfg)
+		n := arms.NUMA
+		for _, p := range []int64{n.NodeSteal, n.SocketSteal, n.RemoteSteal} {
+			if arms.steal[p] == 0 {
+				t.Errorf("no steal paid the %d-cycle arm: %v", p, arms.steal)
+			}
+		}
+		if arms.capped == 0 {
+			t.Error("no migration reached WarmupCap")
+		}
+		return
+	}
+	t.Fatal("asteal-random-sort-numa is not a fingerprint case")
+}
+
 func TestNUMAComputeFactor(t *testing.T) {
 	n, _ := numaModel()
 	if n.ComputeFactor(0, 48) != 1 {

@@ -6,42 +6,66 @@ import (
 	"palirria/internal/xrand"
 )
 
+// before is the queue's total order, written plainly: (at, seq).
+func before(a, b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// checkTree reports the first broken winner-tree invariant of q, or "":
+// every leaf names its own id and every internal node names whichever of
+// its children's winners has the earlier key.
+func checkTree(q *slotQueue) string {
+	leaves := len(q.tree) / 2
+	if len(q.keys) != leaves {
+		return "keys and leaves differ in number"
+	}
+	for id := 0; id < leaves; id++ {
+		if q.tree[leaves+id] != int32(id) {
+			return "a leaf does not name its own id"
+		}
+	}
+	for i := leaves - 1; i > 0; i-- {
+		l, r := q.tree[2*i], q.tree[2*i+1]
+		want := l
+		if before(q.keys[r], q.keys[l]) {
+			want = r
+		}
+		if q.keys[q.tree[i]] != q.keys[want] {
+			return "an internal node does not name the better of its children's winners"
+		}
+	}
+	return ""
+}
+
 // TestSlotQueueAgainstModel drives the queue with a seeded sequence of set,
 // re-set and remove-min operations and checks it against a plain table of
-// (at, seq) per id: the root is always the table's minimum and idx always
-// names the position of the id's own slot.
+// (at, seq) per id: the root is always the table's minimum, every id's key
+// is its own slot or notQueued, and the tree's invariants hold.
 func TestSlotQueueAgainstModel(t *testing.T) {
 	const ids, steps = 48, 100_000
-	type key struct {
-		at  int64
-		seq uint64
-	}
 	rng := xrand.NewXoshiro256(24)
 	q := newSlotQueue(ids)
-	model := map[int32]key{}
+	model := map[int32]slot{}
 
 	check := func(step int) {
 		t.Helper()
-		if len(q.heap) != len(model) {
-			t.Fatalf("step %d: queue holds %d slots, model %d", step, len(q.heap), len(model))
-		}
-		for id := int32(0); id < ids; id++ {
+		for id := int32(0); id < int32(len(q.keys)); id++ {
 			want, queued := model[id]
-			i := q.idx[id]
-			switch {
-			case !queued && i != -1:
-				t.Fatalf("step %d: id %d is not queued but idx = %d", step, id, i)
-			case queued && (i < 0 || int(i) >= len(q.heap)):
-				t.Fatalf("step %d: id %d is queued but idx = %d", step, id, i)
-			case queued && q.heap[i] != slot{at: want.at, seq: want.seq, id: id}:
-				t.Fatalf("step %d: heap[idx[%d]] = %+v, want %+v", step, id, q.heap[i], want)
+			if !queued {
+				want = notQueued
+			}
+			if q.keys[id] != want {
+				t.Fatalf("step %d: keys[%d] = %+v, want %+v", step, id, q.keys[id], want)
 			}
 		}
+		if msg := checkTree(&q); msg != "" {
+			t.Fatalf("step %d: %s", step, msg)
+		}
 	}
-	modelMin := func() (int32, key) {
-		best, bk := int32(-1), key{}
+	modelMin := func() (int32, slot) {
+		best, bk := int32(-1), notQueued
 		for id, k := range model {
-			if best < 0 || k.at < bk.at || (k.at == bk.at && k.seq < bk.seq) {
+			if best < 0 || before(k, bk) {
 				best, bk = id, k
 			}
 		}
@@ -51,8 +75,8 @@ func TestSlotQueueAgainstModel(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		if len(model) > 0 && rng.Intn(3) == 0 {
 			id, k := modelMin()
-			if got := q.heap[0]; got.id != id || got.at != k.at || got.seq != k.seq {
-				t.Fatalf("step %d: min = %+v, want id %d %+v", step, got, id, k)
+			if gid, got := q.min(); gid != id || got != k {
+				t.Fatalf("step %d: min = id %d %+v, want id %d %+v", step, gid, got, id, k)
 			}
 			q.remove(id)
 			delete(model, id)
@@ -60,17 +84,21 @@ func TestSlotQueueAgainstModel(t *testing.T) {
 			// Few distinct times, so ties on at are common and seq decides.
 			id, at := int32(rng.Intn(ids)), int64(rng.Intn(64))
 			q.set(id, at)
-			model[id] = key{at, q.seq}
+			model[id] = slot{at, q.seq}
 		}
 		check(step)
 	}
-	if q.seq == 0 || cap(q.heap) != ids {
-		t.Fatalf("seq = %d, cap = %d: the queue must number every set and never outgrow one slot per id", q.seq, cap(q.heap))
+	if _, s := q.min(); len(model) == 0 && s != notQueued {
+		t.Fatalf("empty model but min = %+v", s)
+	}
+	if q.seq == 0 || len(q.keys) != 64 || len(q.tree) != 128 {
+		t.Fatalf("seq = %d, %d keys, %d tree nodes: the queue must number every set and hold 64 leaves for 48 ids",
+			q.seq, len(q.keys), len(q.tree))
 	}
 }
 
 // TestScheduleThenFireAllocatesNothing pins the point of the slot queue: an
-// activation is a move inside a preallocated array.
+// activation is a rewrite inside preallocated arrays.
 func TestScheduleThenFireAllocatesNothing(t *testing.T) {
 	const ids = 48
 	q := newSlotQueue(ids)
@@ -79,10 +107,10 @@ func TestScheduleThenFireAllocatesNothing(t *testing.T) {
 	}
 	now := int64(ids)
 	if n := testing.AllocsPerRun(1000, func() {
-		due := q.heap[0]
-		q.remove(due.id)
-		q.set(due.id, now)
-		q.set((due.id+7)%ids, now+3) // supersede another id's slot
+		due, _ := q.min()
+		q.remove(due)
+		q.set(due, now)
+		q.set((due+7)%ids, now+3) // supersede another id's slot
 		now++
 	}); n != 0 {
 		t.Fatalf("schedule-then-fire allocates %v times per event", n)

@@ -37,6 +37,10 @@ type Coord struct {
 type Mesh struct {
 	dimX, dimY, dimZ int
 	reserved         []bool
+	// coords[id] is core id's position, computed once by NewMesh so that
+	// Coord — under every hop count and NUMA penalty — is a load, not
+	// three divisions. It is never written again, so clones share it.
+	coords []Coord
 }
 
 // NewMesh returns a mesh with the given extents. One, two or three extents
@@ -54,6 +58,14 @@ func NewMesh(dims ...int) (*Mesh, error) {
 	}
 	m := &Mesh{dimX: d[0], dimY: d[1], dimZ: d[2]}
 	m.reserved = make([]bool, m.NumCores())
+	m.coords = make([]Coord, 0, m.NumCores())
+	for z := 0; z < m.dimZ; z++ {
+		for y := 0; y < m.dimY; y++ {
+			for x := 0; x < m.dimX; x++ {
+				m.coords = append(m.coords, Coord{X: x, Y: y, Z: z})
+			}
+		}
+	}
 	return m, nil
 }
 
@@ -79,15 +91,10 @@ func (m *Mesh) Valid(id CoreID) bool { return id >= 0 && int(id) < m.NumCores() 
 
 // Coord returns the position of core id. It panics on an invalid id.
 func (m *Mesh) Coord(id CoreID) Coord {
-	if !m.Valid(id) {
+	if uint(id) >= uint(len(m.coords)) {
 		panic(fmt.Sprintf("topo: invalid core %d", id))
 	}
-	i := int(id)
-	x := i % m.dimX
-	i /= m.dimX
-	y := i % m.dimY
-	z := i / m.dimY
-	return Coord{X: x, Y: y, Z: z}
+	return m.coords[id]
 }
 
 // ID returns the core at position c, or NoCore if c lies outside the mesh.
@@ -199,9 +206,10 @@ func (m *Mesh) MaxDiaspora(source CoreID) int {
 	return max
 }
 
-// Clone returns a deep copy of the mesh, including reservations.
+// Clone returns a copy of the mesh, including reservations; only the
+// immutable coordinate table is shared.
 func (m *Mesh) Clone() *Mesh {
-	c := &Mesh{dimX: m.dimX, dimY: m.dimY, dimZ: m.dimZ}
+	c := &Mesh{dimX: m.dimX, dimY: m.dimY, dimZ: m.dimZ, coords: m.coords}
 	c.reserved = append([]bool(nil), m.reserved...)
 	return c
 }

@@ -55,6 +55,50 @@ func TestCoordIDRoundTrip3D(t *testing.T) {
 	}
 }
 
+// TestCoordTable checks Coord against the row-major division formula on
+// 1-, 2- and 3-dimensional meshes, reserved or not, and on their clones:
+// ID inverts it, an invalid id still panics, and a lookup allocates nothing.
+func TestCoordTable(t *testing.T) {
+	meshes := map[string]func() *Mesh{
+		"5":     func() *Mesh { return MustMesh(5) },
+		"3x1":   func() *Mesh { return MustMesh(3, 1) },
+		"8x4":   func() *Mesh { return MustMesh(8, 4) },
+		"8x4r":  func() *Mesh { m := MustMesh(8, 4); m.Reserve(0, 1); return m },
+		"8x6":   func() *Mesh { return MustMesh(8, 6) },
+		"4x3x2": func() *Mesh { return MustMesh(4, 3, 2) },
+	}
+	for name, mk := range meshes {
+		m := mk()
+		dx, dy, _ := m.Dims()
+		for _, mm := range []*Mesh{m, m.Clone()} {
+			for id := CoreID(0); int(id) < mm.NumCores(); id++ {
+				i := int(id)
+				want := Coord{X: i % dx, Y: i / dx % dy, Z: i / dx / dy}
+				if got := mm.Coord(id); got != want {
+					t.Fatalf("%s: Coord(%d) = %+v, want %+v", name, id, got, want)
+				}
+				if got := mm.ID(mm.Coord(id)); got != id {
+					t.Fatalf("%s: ID(Coord(%d)) = %d", name, id, got)
+				}
+			}
+			for _, bad := range []CoreID{-1, CoreID(mm.NumCores())} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: Coord(%d) did not panic", name, bad)
+						}
+					}()
+					mm.Coord(bad)
+				}()
+			}
+		}
+		last := CoreID(m.NumCores() - 1)
+		if n := testing.AllocsPerRun(100, func() { _ = m.Coord(last) }); n != 0 {
+			t.Errorf("%s: Coord allocates %v times", name, n)
+		}
+	}
+}
+
 func TestIDOutOfBounds(t *testing.T) {
 	m := MustMesh(8, 4)
 	for _, c := range []Coord{{X: -1}, {X: 8}, {Y: -1}, {Y: 4}, {Z: 1}, {X: 8, Y: 4}} {
