@@ -13,7 +13,6 @@
 //	palirria-bench -ablations        # quantum/L/victim/filter/overhead
 //	palirria-bench -multiprog        # multiprogrammed co-scheduling extension
 //	palirria-bench -all              # everything above
-//	palirria-bench -rt               # workload set on the real runtime (noisy)
 //	palirria-bench -trace-out /tmp/fib.json -trace-workload fib
 //
 // The runtime's performance numbers come from bench/ (bash bench/run.sh);
@@ -35,7 +34,6 @@ func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (1-9)")
 	summary := flag.Bool("summary", false, "print the headline summary for both platforms")
 	multiprog := flag.Bool("multiprog", false, "run the multiprogrammed co-scheduling extension")
-	rt := flag.Bool("rt", false, "run the workload set on the real goroutine runtime (noisy)")
 	seeds := flag.Int("seeds", 1, "seeds per configuration; >1 reports the second-best run (the paper ran 10)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations")
 	all := flag.Bool("all", false, "regenerate everything")
@@ -50,12 +48,12 @@ func main() {
 		}
 		return
 	}
-	if !selectsOutput(*fig, *all || *summary || *ablations || *multiprog || *rt) {
+	if !selectsOutput(*fig, *all || *summary || *ablations || *multiprog) {
 		flag.Usage()
 		os.Exit(2)
 	}
 	start := time.Now()
-	if err := run(os.Stdout, *fig, *summary, *ablations, *multiprog, *rt, *all, *seeds); err != nil {
+	if err := run(os.Stdout, *fig, *summary, *ablations, *multiprog, *all, *seeds); err != nil {
 		fmt.Fprintln(os.Stderr, "palirria-bench:", err)
 		os.Exit(1)
 	}
@@ -102,7 +100,7 @@ func traceRun(wl, path string) error {
 }
 
 // run prints the selected figures and tables to out.
-func run(out io.Writer, fig int, summary, ablations, multiprog, rt, all bool, nseeds int) error {
+func run(out io.Writer, fig int, summary, ablations, multiprog, all bool, nseeds int) error {
 	var seeds []uint64
 	if nseeds > 1 {
 		for i := 0; i < nseeds; i++ {
@@ -180,14 +178,6 @@ func run(out io.Writer, fig int, summary, ablations, multiprog, rt, all bool, ns
 			return err
 		}
 		experiments.PrintMultiprogrammed(out, rows)
-	}
-	if rt { // not part of -all: wall-clock results are host-dependent
-		fmt.Fprintln(out, "\n================ Real runtime ================")
-		rows, err := experiments.RealRuntime(0)
-		if err != nil {
-			return err
-		}
-		experiments.PrintRealRuntime(out, rows)
 	}
 	if all || ablations {
 		fmt.Fprintln(out, "\n================ Ablations ================")

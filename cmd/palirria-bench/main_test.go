@@ -16,14 +16,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/all.golde
 // suite-driving paths are covered by the experiments package tests).
 func TestRunStaticFigures(t *testing.T) {
 	for _, fig := range []int{1, 2, 4, 9} {
-		if err := run(io.Discard, fig, false, false, false, false, false, 1); err != nil {
+		if err := run(io.Discard, fig, false, false, false, false, 1); err != nil {
 			t.Fatalf("fig %d: %v", fig, err)
 		}
 	}
 }
 
 func TestRunMultiprogFlag(t *testing.T) {
-	if err := run(io.Discard, 0, false, false, true, false, false, 1); err != nil {
+	if err := run(io.Discard, 0, false, false, true, false, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,7 +39,7 @@ func TestAllOutputGolden(t *testing.T) {
 		t.Skip("runs the whole evaluation (seconds)")
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, 0, false, false, false, false, true, 1); err != nil {
+	if err := run(&buf, 0, false, false, false, true, 1); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "all.golden")

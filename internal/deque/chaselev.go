@@ -79,6 +79,8 @@ func (d *ChaseLev[T]) PushBottom(v *T) bool {
 }
 
 // PopBottom removes and returns the most recently pushed task. Owner-only.
+// Both PopBottom and StealTop clear the slot they take, so the ring never
+// keeps an element reachable after it has been handed out.
 func (d *ChaseLev[T]) PopBottom() (*T, bool) {
 	b := d.bottom.Load() - 1
 	d.bottom.Store(b)
@@ -88,9 +90,11 @@ func (d *ChaseLev[T]) PopBottom() (*T, bool) {
 		d.bottom.Store(b + 1)
 		return nil, false
 	}
-	v := d.buf[b&d.mask].Load()
+	slot := &d.buf[b&d.mask]
+	v := slot.Load()
 	if t != b {
 		// More than one element remained; no race with thieves possible.
+		slot.Store(nil)
 		return v, true
 	}
 	// Single element: race against thieves for it via CAS on top.
@@ -99,6 +103,7 @@ func (d *ChaseLev[T]) PopBottom() (*T, bool) {
 	if !won {
 		return nil, false
 	}
+	slot.Store(nil)
 	return v, true
 }
 
@@ -120,15 +125,23 @@ func (d *ChaseLev[T]) BottomIs(v *T) bool {
 // and concurrent with owner operations. Returns (nil, false) when the deque
 // is (or appears) empty; a thief that loses a race simply retries its next
 // victim, so false negatives only cost one extra probe.
+//
+// The winning thief clears the slot with a compare-and-swap against the
+// element it took: once top has moved, the owner may already have pushed
+// a new element into that slot, which the CAS then leaves alone. This
+// relies on an element never being pushed again while a thief may still
+// hold it — true of the runtime's task records, which are never recycled.
 func (d *ChaseLev[T]) StealTop() (*T, bool) {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if t >= b {
 		return nil, false
 	}
-	v := d.buf[t&d.mask].Load()
+	slot := &d.buf[t&d.mask]
+	v := slot.Load()
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil, false
 	}
+	slot.CompareAndSwap(v, nil)
 	return v, true
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestChaseLevValidation(t *testing.T) {
@@ -190,6 +191,45 @@ func TestChaseLevOwnerThiefRace(t *testing.T) {
 		if ownerGot.Load() == thiefGot.Load() {
 			t.Fatalf("iter %d: owner=%v thief=%v — exactly one must win",
 				iter, ownerGot.Load(), thiefGot.Load())
+		}
+	}
+}
+
+// TestChaseLevTakenElementsAreCollectable checks that the deque holds no
+// reference to an element it has handed out, on all three take paths: a
+// steal, a pop with more left, and a pop that wins the last element.
+func TestChaseLevTakenElementsAreCollectable(t *testing.T) {
+	type elem struct{ _ [64]byte }
+	d := MustChaseLev[elem](8)
+	collected := make(chan string, 3)
+	for _, name := range []string{"stolen", "popped last", "popped with more left"} {
+		e := new(elem)
+		runtime.SetFinalizer(e, func(*elem) { collected <- name })
+		d.PushBottom(e)
+	}
+	if _, ok := d.StealTop(); !ok {
+		t.Fatal("steal failed")
+	}
+	if _, ok := d.PopBottom(); !ok {
+		t.Fatal("pop failed")
+	}
+	if _, ok := d.PopBottom(); !ok {
+		t.Fatal("pop of the last element failed")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	got := map[string]bool{}
+	for len(got) < 3 && time.Now().Before(deadline) {
+		runtime.GC()
+		select {
+		case name := <-collected:
+			got[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(d)
+	for _, name := range []string{"stolen", "popped last", "popped with more left"} {
+		if !got[name] {
+			t.Errorf("the %s element was never collected: the deque still references it", name)
 		}
 	}
 }

@@ -163,6 +163,7 @@ func FuzzChaseLevBottomIsWrap(f *testing.F) {
 					}
 				}
 			}
+			checkChaseLevCleared(t, d)
 			if len(model) == 0 {
 				if next > 0 && d.BottomIs(&vals[0]) {
 					t.Fatal("BottomIs true on an empty deque")
@@ -230,6 +231,21 @@ func FuzzChaseLevSequential(f *testing.F) {
 					}
 				}
 			}
+			checkChaseLevCleared(t, d)
 		}
 	})
+}
+
+// checkChaseLevCleared fails unless every slot outside the live range
+// [top, bottom) is nil: a taken element must not stay reachable from the
+// ring.
+func checkChaseLevCleared[T any](t *testing.T, d *ChaseLev[T]) {
+	t.Helper()
+	top, bottom := d.top.Load(), d.bottom.Load()
+	for i := range d.buf {
+		live := (int64(i)-top)&d.mask < bottom-top
+		if !live && d.buf[i].Load() != nil {
+			t.Fatalf("slot %d outside [%d, %d) still holds an element", i, top, bottom)
+		}
+	}
 }

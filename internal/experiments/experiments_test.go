@@ -250,29 +250,6 @@ func TestAblationEstimators(t *testing.T) {
 	}
 }
 
-func TestRealRuntimeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock comparison")
-	}
-	rows, err := RealRuntime(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.WoolMS <= 0 || r.AStealMS <= 0 || r.PalirriaMS <= 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-	}
-	var buf bytes.Buffer
-	PrintRealRuntime(&buf, rows)
-	if !strings.Contains(buf.String(), "palirria ms") {
-		t.Fatal("print missing")
-	}
-}
-
 func TestRunWorkloadSeedsSecondBest(t *testing.T) {
 	p := SimPlatform()
 	wr, err := RunWorkloadSeeds(p, "strassen", []uint64{1, 2, 3})

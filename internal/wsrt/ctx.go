@@ -140,27 +140,32 @@ func (c *Ctx) Compute(cycles int64) {
 
 // SpecFunc adapts a lazily generated task tree (the shared workload
 // representation) to the real runtime: Compute spins, Spawn/Call/Sync map
-// directly onto the Ctx operations.
+// directly onto the Ctx operations. A spawned child's builder runs where
+// the child runs — on the thief that steals it, or on the spawner when it
+// pops the child back at its sync — never on the spawner before the push;
+// task.Builder allows any worker to invoke it.
 func SpecFunc(s *task.Spec) Func {
-	return func(c *Ctx) {
-		for _, op := range s.Ops {
-			switch op.Kind {
-			case task.OpCompute:
-				c.Compute(op.Work)
-			case task.OpSpawn:
-				child := op.Gen()
-				c.Spawn(SpecFunc(child))
-			case task.OpCall:
-				// A call gets its own frame scope: its spawns join inside
-				// it, never leaking into the parent's pending list.
-				child := op.Gen()
-				sub := c.w.ctxGet()
-				SpecFunc(child)(sub)
-				sub.joinAll()
-				c.w.ctxPut(sub)
-			case task.OpSync:
-				c.Sync()
-			}
+	return func(c *Ctx) { runSpec(c, s) }
+}
+
+// runSpec executes one spec's program on c.
+func runSpec(c *Ctx, s *task.Spec) {
+	for _, op := range s.Ops {
+		switch op.Kind {
+		case task.OpCompute:
+			c.Compute(op.Work)
+		case task.OpSpawn:
+			gen := op.Gen
+			c.Spawn(func(cc *Ctx) { runSpec(cc, gen()) })
+		case task.OpCall:
+			// A call gets its own frame scope: its spawns join inside
+			// it, never leaking into the parent's pending list.
+			sub := c.w.ctxGet()
+			runSpec(sub, op.Gen())
+			sub.joinAll()
+			c.w.ctxPut(sub)
+		case task.OpSync:
+			c.Sync()
 		}
 	}
 }

@@ -5,8 +5,11 @@ package wsrt
 // what downstream users of the library write; the spec-tree workloads
 // exist for the deterministic simulator.
 
+import "slices"
+
 // ParallelMergeSort sorts data in place using WOOL-style fork/join:
-// recursive halves are spawned until the cut-off, then merged. It returns
+// recursive halves are spawned until the cut-off, each leaf is sorted
+// sequentially, and the halves are merged on the way back up. It returns
 // the Func to pass to Runtime.Run.
 func ParallelMergeSort(data []int, cutoff int) Func {
 	if cutoff < 2 {
@@ -16,7 +19,7 @@ func ParallelMergeSort(data []int, cutoff int) Func {
 	var sortRange func(c *Ctx, lo, hi int)
 	sortRange = func(c *Ctx, lo, hi int) {
 		if hi-lo <= cutoff {
-			insertionSort(data[lo:hi])
+			slices.Sort(data[lo:hi])
 			return
 		}
 		mid := (lo + hi) / 2
@@ -28,42 +31,30 @@ func ParallelMergeSort(data []int, cutoff int) Func {
 	return func(c *Ctx) { sortRange(c, 0, len(data)) }
 }
 
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
-// merge merges data[lo:mid] and data[mid:hi] through buf.
+// merge merges data[lo:mid] and data[mid:hi] through buf. Each step
+// selects the smaller head and advances its run by comparison results
+// alone (SETcc and CMOV), so random input costs no mispredicted branch.
 func merge(data, buf []int, lo, mid, hi int) {
 	copy(buf[lo:hi], data[lo:hi])
 	i, j, k := lo, mid, lo
 	for i < mid && j < hi {
-		if buf[i] <= buf[j] {
-			data[k] = buf[i]
-			i++
-		} else {
-			data[k] = buf[j]
-			j++
-		}
+		a, b := buf[i], buf[j]
+		right := b2i(b < a)
+		data[k] = min(a, b)
+		i += 1 - right
+		j += right
 		k++
 	}
-	for i < mid {
-		data[k] = buf[i]
-		i++
-		k++
+	k += copy(data[k:], buf[i:mid])
+	copy(data[k:], buf[j:hi])
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	for j < hi {
-		data[k] = buf[j]
-		j++
-		k++
-	}
+	return 0
 }
 
 // CountNQueens counts the solutions of the n-queens problem with parallel

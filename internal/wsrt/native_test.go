@@ -1,6 +1,7 @@
 package wsrt
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -50,6 +51,64 @@ func TestParallelMergeSortEdgeCases(t *testing.T) {
 		if !sort.IntsAreSorted(data) {
 			t.Fatalf("n=%d not sorted: %v", n, data)
 		}
+	}
+}
+
+// TestParallelMergeSortCutoffs sorts the same inputs at cut-offs from the
+// smallest leaf to one sequential leaf over the whole slice, which also
+// keeps a quadratic leaf sort from coming back: at 1<<18 elements it
+// would run for minutes.
+func TestParallelMergeSortCutoffs(t *testing.T) {
+	const n = 1 << 18
+	rng := xrand.NewXoshiro256(7)
+	inputs := map[string][]int{
+		"random": make([]int, n), "sorted": make([]int, n),
+		"reversed": make([]int, n), "equal": make([]int, n),
+	}
+	for i := 0; i < n; i++ {
+		inputs["random"][i] = rng.Intn(1 << 30)
+		inputs["sorted"][i] = i
+		inputs["reversed"][i] = n - i
+		inputs["equal"][i] = 42
+	}
+	for name, in := range inputs {
+		want := slices.Clone(in)
+		slices.Sort(want)
+		for _, cutoff := range []int{2, 7, 2048, n} {
+			data := slices.Clone(in)
+			rt, err := New(Config{Mesh: topo.MustMesh(4, 2), Source: 0, InitialDiaspora: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.Run(ParallelMergeSort(data, cutoff)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(data, want) {
+				t.Errorf("%s input, cut-off %d: output is not the sorted input", name, cutoff)
+			}
+		}
+	}
+}
+
+// TestParallelMergeSortTaskCount pins the spawn tree forkjoin_batch runs:
+// 200 000 elements at cut-off 2048 halve into 128 leaves, so the root and
+// 127 spawns make 128 tasks.
+func TestParallelMergeSortTaskCount(t *testing.T) {
+	data := make([]int, 200_000)
+	rt, err := New(Config{Mesh: topo.MustMesh(4, 2), Source: 0, InitialDiaspora: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Run(ParallelMergeSort(data, 2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tasks int64
+	for _, w := range rep.Workers {
+		tasks += w.Tasks
+	}
+	if tasks != 128 {
+		t.Fatalf("merge sort of 200 000 at cut-off 2048 ran %d tasks, want 128", tasks)
 	}
 }
 
