@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"palirria/internal/cluster"
+	"palirria/internal/serve/httpapi"
 )
 
 // startClusterServer boots a palirria-serve instance in cluster mode on a
@@ -29,7 +30,7 @@ func startClusterServer(t *testing.T, join string) (*server, string) {
 		lis.Close()
 		t.Fatal(err)
 	}
-	ts := &httptest.Server{Listener: lis, Config: &http.Server{Handler: s.handler()}}
+	ts := &httptest.Server{Listener: lis, Config: &http.Server{Handler: s.api.Handler()}}
 	ts.Start()
 	t.Cleanup(func() { s.close(); ts.Close() })
 	return s, opts.clusterAddr
@@ -92,7 +93,7 @@ func TestServerClusterMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st statusReply
+	var st httpapi.StatusReply
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -126,23 +127,5 @@ func TestServerClusterMode(t *testing.T) {
 	}
 	if self.Spare < 0 || self.Spare > snap.Capacity {
 		t.Fatalf("self spare %d out of range (capacity %d)", self.Spare, snap.Capacity)
-	}
-}
-
-func TestServerClusterDisabled(t *testing.T) {
-	s, err := newServer(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/cluster without cluster mode = %d, want 503", resp.StatusCode)
 	}
 }

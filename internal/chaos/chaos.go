@@ -563,9 +563,9 @@ func poolSubmitJobs(p *serve.Pool, sc *Script, recs []*jobRec, pick func(j int) 
 	}
 }
 
-// checkPoolStats audits one drained pool's serving counters against the
-// ledger slice it served.
-func checkPoolStats(p *serve.Pool, res *Result, completed, discarded int64) {
+// checkDrained audits a drained pool's own ledger: every admission
+// terminal, nothing left in flight.
+func checkDrained(p *serve.Pool, res *Result) serve.Stats {
 	st := p.Stats()
 	if st.Admitted != st.Completed+st.Cancelled {
 		res.fail("pool %s: admitted %d != completed %d + cancelled %d", st.Name, st.Admitted, st.Completed, st.Cancelled)
@@ -573,6 +573,13 @@ func checkPoolStats(p *serve.Pool, res *Result, completed, discarded int64) {
 	if st.InFlight != 0 {
 		res.fail("pool %s: %d jobs still in flight after drain", st.Name, st.InFlight)
 	}
+	return st
+}
+
+// checkPoolStats audits one drained pool's serving counters against the
+// ledger slice it served.
+func checkPoolStats(p *serve.Pool, res *Result, completed, discarded int64) {
+	st := checkDrained(p, res)
 	if st.Completed != completed {
 		res.fail("pool %s: pool counted %d completed, ledger saw %d", st.Name, st.Completed, completed)
 	}
@@ -634,6 +641,57 @@ func streamChurn(hub *stream.Hub, sc *Script, stop <-chan struct{}, res *Result)
 	}
 }
 
+// newPool builds a serve.Pool on the script's mesh, quantum, queue caps
+// and shed threshold, seeded at source; hub, when set, carries its events.
+func newPool(sc *Script, name string, source topo.CoreID, hub *stream.Hub) (*serve.Pool, error) {
+	return serve.New(serve.Config{
+		Name: name,
+		Runtime: wsrt.Config{
+			Mesh:           topo.MustMesh(sc.MeshW, sc.MeshH),
+			Source:         source,
+			Quantum:        time.Duration(sc.QuantumUS) * time.Microsecond,
+			SubmitQueueCap: sc.SubmitQueueCap,
+		},
+		QueueCap:   sc.PoolQueueCap,
+		ShedQuanta: sc.ShedQuanta,
+		Events:     hub,
+	})
+}
+
+// terminalAudit holds a pool to exactly-once terminal events: a durable
+// subscriber counts completed and cancelled events, and once the pool has
+// drained, those seen plus those dropped must equal its admissions.
+type terminalAudit struct {
+	sub  *stream.Sub
+	seen int64
+	done chan struct{}
+}
+
+func newTerminalAudit(hub *stream.Hub, buf int) *terminalAudit {
+	a := &terminalAudit{done: make(chan struct{}), sub: hub.Subscribe(stream.SubOptions{
+		Buf:   buf,
+		Kinds: []stream.Kind{stream.KindCompleted, stream.KindCancelled},
+	})}
+	go func() {
+		defer close(a.done)
+		for range a.sub.Events() {
+			a.seen++
+		}
+	}()
+	return a
+}
+
+// finish detaches the subscriber after p's drain — every terminal event is
+// on the hub by then — and checks the count against p's admissions.
+func (a *terminalAudit) finish(p *serve.Pool, res *Result, tag string) {
+	a.sub.Close()
+	<-a.done
+	if admitted := p.Stats().Admitted; a.seen+a.sub.Dropped() != admitted {
+		res.fail("%s: %d terminal event(s) seen + %d dropped != %d admitted — terminal events not exactly-once",
+			tag, a.seen, a.sub.Dropped(), admitted)
+	}
+}
+
 // runPool drives a serve.Pool, racing Drain against the submit storm. With
 // StreamSubs set it also churns event subscribers against the pool's hub
 // and audits terminal-event conservation through a durable subscriber.
@@ -642,18 +700,7 @@ func runPool(sc *Script, res *Result) {
 	if sc.StreamSubs > 0 || sc.AuditClassEvents {
 		hub = stream.NewHub()
 	}
-	p, err := serve.New(serve.Config{
-		Name: "chaos",
-		Runtime: wsrt.Config{
-			Mesh:           topo.MustMesh(sc.MeshW, sc.MeshH),
-			Source:         topo.CoreID(sc.Source),
-			Quantum:        time.Duration(sc.QuantumUS) * time.Microsecond,
-			SubmitQueueCap: sc.SubmitQueueCap,
-		},
-		QueueCap:   sc.PoolQueueCap,
-		ShedQuanta: sc.ShedQuanta,
-		Events:     hub,
-	})
+	p, err := newPool(sc, "chaos", topo.CoreID(sc.Source), hub)
 	if err != nil {
 		res.fail("build pool: %v", err)
 		return
@@ -669,24 +716,11 @@ func runPool(sc *Script, res *Result) {
 		audit = newClassAudit(hub, res)
 	}
 
-	// The durable subscriber watches only terminal events; together with its
-	// drop counter it must account for every admission the pool books.
-	var durable *stream.Sub
-	var seenTerminal int64
-	durDone := make(chan struct{})
+	var terminal *terminalAudit
 	churnStop := make(chan struct{})
 	var churnWG sync.WaitGroup
 	if hub != nil {
-		durable = hub.Subscribe(stream.SubOptions{
-			Buf:   sc.StreamBuf,
-			Kinds: []stream.Kind{stream.KindCompleted, stream.KindCancelled},
-		})
-		go func() {
-			defer close(durDone)
-			for range durable.Events() {
-				seenTerminal++
-			}
-		}()
+		terminal = newTerminalAudit(hub, sc.StreamBuf)
 		for i := 0; i < sc.StreamSubs; i++ {
 			churnWG.Add(1)
 			go func() {
@@ -728,8 +762,7 @@ func runPool(sc *Script, res *Result) {
 		// and let the durable reader finish counting its buffered tail.
 		close(churnStop)
 		churnWG.Wait()
-		durable.Close()
-		<-durDone
+		terminal.finish(p, res, "stream")
 		if audit != nil {
 			audit.finish(p)
 		}
@@ -738,13 +771,6 @@ func runPool(sc *Script, res *Result) {
 	checkLedger(recs, res)
 	completed, discarded := ledgerSplit(recs, func(int) bool { return true })
 	checkPoolStats(p, res, completed, discarded)
-	if hub != nil {
-		st := p.Stats()
-		if got := seenTerminal + int64(durable.Dropped()); got != st.Admitted {
-			res.fail("stream: %d terminal event(s) seen + %d dropped != %d admitted",
-				seenTerminal, durable.Dropped(), st.Admitted)
-		}
-	}
 }
 
 // runTenancy drives two pools under one arbitration mesh: submissions
@@ -754,26 +780,14 @@ func runPool(sc *Script, res *Result) {
 func runTenancy(sc *Script, res *Result) {
 	arbMesh := topo.MustMesh(sc.MeshW, sc.MeshH)
 	ten := serve.NewTenancy(arbMesh, time.Duration(sc.RearbEveryUS)*time.Microsecond)
-	newPool := func(name string, source topo.CoreID) (*serve.Pool, error) {
-		return serve.New(serve.Config{
-			Name: name,
-			Runtime: wsrt.Config{
-				Mesh:           topo.MustMesh(sc.MeshW, sc.MeshH),
-				Source:         source,
-				Quantum:        time.Duration(sc.QuantumUS) * time.Microsecond,
-				SubmitQueueCap: sc.SubmitQueueCap,
-			},
-			QueueCap: sc.PoolQueueCap,
-		})
-	}
-	p0, err := newPool("chaos-a", topo.CoreID(sc.Source))
+	p0, err := newPool(sc, "chaos-a", topo.CoreID(sc.Source), nil)
 	if err != nil {
 		res.fail("build pool a: %v", err)
 		return
 	}
 	// The second tenant anchors at the far corner of the arbitration mesh
 	// so the shares start disjoint.
-	p1, err := newPool("chaos-b", topo.CoreID(arbMesh.NumCores()-1))
+	p1, err := newPool(sc, "chaos-b", topo.CoreID(arbMesh.NumCores()-1), nil)
 	if err != nil {
 		res.fail("build pool b: %v", err)
 		return

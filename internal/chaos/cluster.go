@@ -6,17 +6,18 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"palirria/internal/cluster"
 	"palirria/internal/cluster/pick"
+	"palirria/internal/obs"
 	"palirria/internal/obs/stream"
 	"palirria/internal/serve"
+	"palirria/internal/serve/httpapi"
 	"palirria/internal/topo"
-	"palirria/internal/wsrt"
 )
 
 // chaosNode is one cluster member under test: a resident pool with its
@@ -31,9 +32,7 @@ type chaosNode struct {
 	srv  *http.Server
 	addr string
 
-	terminal int64 // completed+cancelled events seen by the durable sub
-	durable  *stream.Sub
-	durDone  chan struct{}
+	terminal *terminalAudit
 	killOnce sync.Once
 
 	// holding is closed once a ?hold=<id> submission is parked in this
@@ -65,79 +64,42 @@ func (a aimedPicker) PickSticky(key string, exclude ...string) (cluster.PeerStat
 	return a.NodePicker.PickSticky(key, exclude...)
 }
 
-// newChaosNode builds and starts one serve node.
+// newChaosNode builds and starts one serve node: the daemon's own
+// handler over one pool, behind a wrapper that parks a ?hold=<id>
+// submission (see runCluster's forced failover).
 func newChaosNode(sc *Script, idx int) (*chaosNode, error) {
 	id := fmt.Sprintf("node-%d", idx)
 	hub := stream.NewHub()
-	pool, err := serve.New(serve.Config{
-		Name: id,
-		Runtime: wsrt.Config{
-			Mesh:           topo.MustMesh(sc.MeshW, sc.MeshH),
-			Quantum:        time.Duration(sc.QuantumUS) * time.Microsecond,
-			SubmitQueueCap: sc.SubmitQueueCap,
-		},
-		QueueCap: sc.PoolQueueCap,
-		Events:   hub,
-	})
+	pool, err := newPool(sc, id, topo.CoreID(sc.Source), hub)
 	if err != nil {
-		hub.Close()
 		return nil, err
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		hub.Close()
 		return nil, err
 	}
-	n := &chaosNode{id: id, pool: pool, hub: hub, addr: "http://" + lis.Addr().String(),
-		holding: make(chan struct{})}
-
-	// The durable subscriber audits exactly-once terminal events: after
-	// the drain, seen + dropped must equal the pool's admissions.
-	n.durable = hub.Subscribe(stream.SubOptions{
-		Buf:   1024,
-		Kinds: []stream.Kind{stream.KindCompleted, stream.KindCancelled},
-	})
-	n.durDone = make(chan struct{})
-	go func() {
-		defer close(n.durDone)
-		for range n.durable.Events() {
-			atomic.AddInt64(&n.terminal, 1)
-		}
-	}()
-
+	addr := "http://" + lis.Addr().String()
 	gn, err := cluster.NewNode(cluster.Config{
-		ID:   id,
-		Addr: n.addr,
-		Role: cluster.RoleServe,
-		Snapshot: func() cluster.Record {
-			s := pool.Snapshot()
-			return cluster.Record{
-				Desire: s.Desire, Allotment: s.Allotment, Spare: s.Spare,
-				Queued: s.InFlight, QueueCap: s.QueueCap,
-				Shed: s.Shedding, AdmitP99: s.AdmitP99,
-			}
-		},
+		ID:           id,
+		Addr:         addr,
+		Role:         cluster.RoleServe,
+		Snapshot:     func() cluster.Record { return httpapi.Record(pool) },
 		Interval:     time.Duration(sc.GossipEveryUS) * time.Microsecond,
 		SuspectAfter: time.Duration(sc.SuspectAfterUS) * time.Microsecond,
 		DeadAfter:    time.Duration(sc.DeadAfterUS) * time.Microsecond,
 		Events:       hub,
 	})
 	if err != nil {
-		hub.Close()
 		lis.Close()
 		return nil, err
 	}
-	n.node = gn
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/gossip", gn.GossipHandler())
-	mux.HandleFunc("/cluster", gn.ClusterHandler())
-	mux.HandleFunc("/submit", func(w http.ResponseWriter, r *http.Request) {
-		leaves, _ := strconv.Atoi(r.URL.Query().Get("leaves"))
-		compute, _ := strconv.ParseInt(r.URL.Query().Get("compute"), 10, 64)
-		if leaves < 1 {
-			leaves = 1
-		}
+	// No job has run yet, so the audit sees every terminal event.
+	n := &chaosNode{id: id, pool: pool, hub: hub, node: gn, addr: addr,
+		terminal: newTerminalAudit(hub, 1024), holding: make(chan struct{})}
+	api := httpapi.New(httpapi.Config{
+		Pools: []*serve.Pool{pool}, Hub: hub, Node: gn, Metrics: obs.NewRegistry(),
+	}).Handler()
+	n.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("hold") == id {
 			// Stay in flight, holding the connection, until the kill cuts
 			// it; the same submission retried on another node runs normally.
@@ -145,27 +107,16 @@ func newChaosNode(sc *Script, idx int) (*chaosNode, error) {
 			<-r.Context().Done()
 			return
 		}
-		var runs atomic.Int64
-		err := pool.Submit(r.Context(), func(c *wsrt.Ctx) {
-			fanLeaves(c, leaves, compute, &runs)
-		})
-		switch {
-		case err == nil:
-			fmt.Fprintf(w, `{"node":%q,"leaves":%d}`, id, runs.Load())
-		case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrOverloaded):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		default:
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		}
-	})
-	n.srv = &http.Server{Handler: mux}
+		api.ServeHTTP(w, r)
+	})}
 	go n.srv.Serve(lis) //nolint:errcheck // returns ErrServerClosed on Close
 	gn.Start()
 	return n, nil
 }
 
 // kill cuts the node abruptly: live connections drop mid-flight, gossip
-// stops, and the pool drains so its ledger settles. Idempotent.
+// stops, and the pool drains so its ledger settles; then the node's
+// stream audit finishes and its hub closes. Idempotent.
 func (n *chaosNode) kill(res *Result) {
 	n.killOnce.Do(func() {
 		n.node.Stop()
@@ -175,26 +126,9 @@ func (n *chaosNode) kill(res *Result) {
 		if err := n.pool.Drain(ctx); err != nil && !errors.Is(err, serve.ErrDraining) {
 			res.fail("%s drain: %v", n.id, err)
 		}
+		n.terminal.finish(n.pool, res, n.id+" stream")
+		n.hub.Close()
 	})
-}
-
-// settle finishes the node's stream audit after its drain.
-func (n *chaosNode) settle(res *Result) {
-	n.durable.Close()
-	<-n.durDone
-	n.hub.Close()
-	st := n.pool.Stats()
-	if st.Admitted != st.Completed+st.Cancelled {
-		res.fail("%s ledger: admitted %d != completed %d + cancelled %d",
-			n.id, st.Admitted, st.Completed, st.Cancelled)
-	}
-	if st.InFlight != 0 {
-		res.fail("%s: %d jobs in flight after drain", n.id, st.InFlight)
-	}
-	if got := atomic.LoadInt64(&n.terminal) + int64(n.durable.Dropped()); got != st.Admitted {
-		res.fail("%s stream: %d terminal event(s) + dropped != %d admitted — terminal events not exactly-once",
-			n.id, got, st.Admitted)
-	}
 }
 
 // runCluster drives the full distributed stack: a router core over
@@ -203,21 +137,20 @@ func (n *chaosNode) settle(res *Result) {
 // ledgers: every submission the router accepted (200) completed on some
 // node (zero accepted-job loss), terminal events are exactly-once per
 // pool, once the router's gossip confirms the kill no further submission
-// is routed to the dead peer, and the submission the scenario holds in
-// flight at the victim is failed over to a survivor unseen by its client.
+// is routed to the dead peer, the submission the scenario holds in flight
+// at the victim is failed over to a survivor unseen by its client, and no
+// goroutine outlives the teardown.
 func runCluster(sc *Script, res *Result) {
-	nodes := make([]*chaosNode, 0, sc.ClusterNodes)
+	goroutines := runtime.NumGoroutine()
+	var nodes []*chaosNode
+	var seeds []string
 	for i := 0; i < sc.ClusterNodes; i++ {
 		n, err := newChaosNode(sc, i)
 		if err != nil {
 			res.fail("build %s: %v", fmt.Sprintf("node-%d", i), err)
 			return
 		}
-		nodes = append(nodes, n)
-	}
-	seeds := make([]string, len(nodes))
-	for i, n := range nodes {
-		seeds[i] = n.addr
+		nodes, seeds = append(nodes, n), append(seeds, n.addr)
 	}
 
 	// The router is a gossip member too; its hub carries the lifecycle
@@ -279,6 +212,15 @@ func runCluster(sc *Script, res *Result) {
 	rsrv := &http.Server{Handler: core.Handler()}
 	go rsrv.Serve(rlis) //nolint:errcheck // returns ErrServerClosed on Close
 	rnode.Start()
+	stop := func() { // drain every node, stop the router, end its event log
+		for _, n := range nodes {
+			n.kill(res)
+		}
+		rnode.Stop()
+		rsrv.Close() //nolint:errcheck
+		rhub.Close()
+		<-evDone
+	}
 	routerURL := "http://" + rlis.Addr().String()
 
 	// Wait for membership to converge before the storm; a router that
@@ -287,6 +229,7 @@ func runCluster(sc *Script, res *Result) {
 	for len(rnode.Serveable()) < len(nodes) {
 		if time.Now().After(deadline) {
 			res.fail("router saw only %d of %d nodes", len(rnode.Serveable()), len(nodes))
+			stop()
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -294,7 +237,7 @@ func runCluster(sc *Script, res *Result) {
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	postQuery := func(spec JobSpec, extra string) (int, error) {
-		url := fmt.Sprintf("%s/submit?leaves=%d&compute=%d%s", routerURL, spec.Leaves, spec.ComputeNS, extra)
+		url := fmt.Sprintf("%s/submit?fanout=%d&work=%d%s", routerURL, spec.Leaves, spec.ComputeNS, extra)
 		resp, err := client.Post(url, "", nil)
 		if err != nil {
 			return 0, err
@@ -394,14 +337,7 @@ func runCluster(sc *Script, res *Result) {
 		}
 	}
 
-	// Tear down: drain survivors, stop the router, settle the audits.
-	for _, n := range nodes {
-		n.kill(res)
-	}
-	rnode.Stop()
-	rsrv.Close() //nolint:errcheck
-	rhub.Close()
-	<-evDone
+	stop()
 	if d := rsub.Dropped(); d > 0 {
 		res.fail("router event audit dropped %d event(s); buffer too small to audit ordering", d)
 	}
@@ -449,8 +385,7 @@ func runCluster(sc *Script, res *Result) {
 	// Cluster-wide conservation and zero accepted-job loss.
 	var admitted, completed, cancelled int64
 	for _, n := range nodes {
-		n.settle(res)
-		st := n.pool.Stats()
+		st := checkDrained(n.pool, res)
 		admitted += st.Admitted
 		completed += st.Completed
 		cancelled += st.Cancelled
@@ -463,6 +398,20 @@ func runCluster(sc *Script, res *Result) {
 	// was lost in the kill, hence >=.
 	if completed < accepted.Load() {
 		res.fail("zero-loss: %d accepted submissions but only %d completions", accepted.Load(), completed)
+	}
+
+	// Nothing outlives the teardown: once the storm client's idle
+	// keep-alives are closed, the process is back to the goroutines it had
+	// before the cluster was built.
+	client.CloseIdleConnections()
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			res.fail("goroutine leak: %d goroutines after teardown, %d before the cluster was built",
+				runtime.NumGoroutine(), goroutines)
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	res.Attempted = attempted.Load()
 	res.Accepted = accepted.Load()

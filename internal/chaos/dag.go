@@ -9,7 +9,6 @@ import (
 	"palirria/internal/obs/stream"
 	"palirria/internal/serve"
 	"palirria/internal/topo"
-	"palirria/internal/wsrt"
 )
 
 // DAGNodeSpec is one planned node of a structured job: a binary fan of
@@ -127,17 +126,7 @@ func (a *classAudit) finish(p *serve.Pool) {
 // resolves exactly once as completed or cancelled, no body runs twice, no
 // leaf is lost, and the pool's counters match the ledger.
 func runDAG(sc *Script, res *Result) {
-	p, err := serve.New(serve.Config{
-		Name: "chaos-dag",
-		Runtime: wsrt.Config{
-			Mesh:           topo.MustMesh(sc.MeshW, sc.MeshH),
-			Source:         topo.CoreID(sc.Source),
-			Quantum:        time.Duration(sc.QuantumUS) * time.Microsecond,
-			SubmitQueueCap: sc.SubmitQueueCap,
-		},
-		QueueCap:   sc.PoolQueueCap,
-		ShedQuanta: sc.ShedQuanta,
-	})
+	p, err := newPool(sc, "chaos-dag", topo.CoreID(sc.Source), nil)
 	if err != nil {
 		res.fail("build pool: %v", err)
 		return

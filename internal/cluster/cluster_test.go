@@ -9,7 +9,6 @@ package cluster_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -19,14 +18,16 @@ import (
 
 	"palirria/internal/cluster"
 	"palirria/internal/cluster/pick"
+	"palirria/internal/obs"
 	"palirria/internal/obs/stream"
 	"palirria/internal/serve"
+	"palirria/internal/serve/httpapi"
 	"palirria/internal/topo"
 	"palirria/internal/wsrt"
 )
 
-// serveNode is one in-process cluster member: a resident pool, its HTTP
-// surface (/submit, /gossip, /cluster), and its gossip loop.
+// serveNode is one in-process cluster member: a resident pool behind the
+// daemon's own handler (internal/serve/httpapi), and its gossip loop.
 type serveNode struct {
 	id   string
 	pool *serve.Pool
@@ -36,10 +37,12 @@ type serveNode struct {
 
 func newServeNode(t *testing.T, id string, meshW int, seeds []string) *serveNode {
 	t.Helper()
+	hub := stream.NewHub()
 	pool, err := serve.New(serve.Config{
 		Name:     id,
 		Runtime:  wsrt.Config{Mesh: topo.MustMesh(meshW, 1)},
 		QueueCap: 256,
+		Events:   hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,17 +50,10 @@ func newServeNode(t *testing.T, id string, meshW int, seeds []string) *serveNode
 	mux := http.NewServeMux()
 	ts := httptest.NewServer(mux)
 	node, err := cluster.NewNode(cluster.Config{
-		ID:   id,
-		Addr: ts.URL,
-		Role: cluster.RoleServe,
-		Snapshot: func() cluster.Record {
-			s := pool.Snapshot()
-			return cluster.Record{
-				Desire: s.Desire, Allotment: s.Allotment, Spare: s.Spare,
-				Queued: s.InFlight, QueueCap: s.QueueCap,
-				Shed: s.Shedding, AdmitP99: s.AdmitP99,
-			}
-		},
+		ID:           id,
+		Addr:         ts.URL,
+		Role:         cluster.RoleServe,
+		Snapshot:     func() cluster.Record { return httpapi.Record(pool) },
 		Join:         seeds,
 		Interval:     20 * time.Millisecond,
 		SuspectAfter: 100 * time.Millisecond,
@@ -68,22 +64,9 @@ func newServeNode(t *testing.T, id string, meshW int, seeds []string) *serveNode
 		t.Fatal(err)
 	}
 	sn := &serveNode{id: id, pool: pool, node: node, ts: ts}
-	mux.HandleFunc("/gossip", node.GossipHandler())
-	mux.HandleFunc("/cluster", node.ClusterHandler())
-	mux.HandleFunc("/submit", func(w http.ResponseWriter, r *http.Request) {
-		// The job is synchronous, like palirria-serve: a 200 reply means
-		// the fork/join tree ran to completion on this node's runtime.
-		var out int64
-		err := pool.Submit(r.Context(), wsrt.ParallelReduce(2000, 64, func(i int) int64 { return int64(i) }, &out))
-		switch {
-		case err == nil:
-			fmt.Fprintf(w, `{"node":%q}`, id)
-		case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrOverloaded):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		default:
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		}
-	})
+	mux.Handle("/", httpapi.New(httpapi.Config{
+		Pools: []*serve.Pool{pool}, Hub: hub, Node: node, Metrics: obs.NewRegistry(),
+	}).Handler())
 	node.Start()
 	t.Cleanup(func() { sn.kill(t) })
 	return sn
@@ -103,6 +86,11 @@ func (s *serveNode) kill(t *testing.T) {
 		t.Errorf("drain %s: %v", s.id, err)
 	}
 }
+
+// submitPath asks for a 32-leaf fan of 64 cycles a leaf, about the work of
+// a ParallelReduce over 2000 elements at grain 64. The job is synchronous:
+// a 200 reply means the fan ran to completion on the node's runtime.
+const submitPath = "/submit?fanout=32&work=64"
 
 func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -171,7 +159,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	perNode := map[string]int{}
 	const burst = 60
 	for i := 0; i < burst; i++ {
-		resp, err := http.Post(front.URL+"/submit", "", nil)
+		resp, err := http.Post(front.URL+submitPath, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +203,7 @@ func TestClusterEndToEnd(t *testing.T) {
 				if attempts.Add(1) == 20 {
 					close(killReady)
 				}
-				resp, err := http.Post(front.URL+"/submit", "", nil)
+				resp, err := http.Post(front.URL+submitPath, "", nil)
 				if err != nil {
 					failed.Add(1)
 					continue

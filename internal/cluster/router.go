@@ -204,6 +204,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // forward performs one proxied submission against target, buffering the
 // response so a failed attempt leaves nothing half-written to the client.
+// A reply over maxWireBody is a failed attempt, like a transport error.
 func (rt *Router) forward(ctx context.Context, target *PeerStatus, rawQuery string, body []byte) (int, http.Header, []byte, error) {
 	url := target.Addr + "/submit"
 	if rawQuery != "" {
@@ -218,9 +219,12 @@ func (rt *Router) forward(ctx context.Context, target *PeerStatus, rawQuery stri
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxWireBody+1))
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if len(respBody) > maxWireBody {
+		return 0, nil, nil, fmt.Errorf("reply over %d bytes", maxWireBody)
 	}
 	hdr := http.Header{}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {

@@ -151,6 +151,46 @@ func TestRouterRefusesOversizeBody(t *testing.T) {
 	}
 }
 
+// TestRouterFailsOverOnOversizeReply: a node reply over maxWireBody is a
+// failed attempt, not buffered whole and passed on; the router fails over
+// to a good node, and answers 502 when every node replies over the bound.
+func TestRouterFailsOverOnOversizeReply(t *testing.T) {
+	huge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(make([]byte, 2<<20)) //nolint:errcheck // the router may hang up early
+	}))
+	defer huge.Close()
+	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"ok":true}`)
+	}))
+	defer good.Close()
+
+	for _, tc := range []struct {
+		targets []PeerStatus
+		want    int
+		node    string
+	}{
+		{[]PeerStatus{peerFor(huge, "huge"), peerFor(good, "good")}, http.StatusOK, "good"},
+		{[]PeerStatus{peerFor(huge, "a"), peerFor(huge, "b"), peerFor(huge, "c")}, http.StatusBadGateway, ""},
+	} {
+		rt := testRouter(t, &scriptedPicker{targets: tc.targets}, nil)
+		srv := httptest.NewServer(rt.Handler())
+		resp, err := http.Post(srv.URL+"/submit", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != tc.want || resp.Header.Get("X-Palirria-Node") != tc.node {
+			t.Fatalf("status %d from %q (%d-byte body), want %d from %q",
+				resp.StatusCode, resp.Header.Get("X-Palirria-Node"), len(body), tc.want, tc.node)
+		}
+		if rt.FailedOver() == 0 {
+			t.Fatal("an oversize reply triggered no failover")
+		}
+	}
+}
+
 func TestRouterFailsOverOn5xxAndTransportError(t *testing.T) {
 	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
