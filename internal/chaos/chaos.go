@@ -15,8 +15,8 @@
 //     wall clock;
 //   - pool layers conserve admissions: admitted == completed + cancelled,
 //     with zero jobs in flight after Drain;
-//   - the runtime's striped submission ledger balances after shutdown:
-//     every unit of SubmitQueueCap is back in exactly one place, no
+//   - the runtime's submission gate balances after shutdown: every
+//     reserved unit of SubmitQueueCap is back exactly once, no
 //     reservation leaked or was double-released (wsrt.VerifySubmitLedger);
 //   - the whole scenario completes within a deadlock bound.
 //
@@ -434,8 +434,8 @@ func runRuntime(sc *Script, res *Result) {
 
 	var rep *wsrt.Report
 	if sc.ShutdownAtUS > 0 {
-		// Shutdown races the storm; the seal must make every nil-returning
-		// Submit's onDone fire anyway.
+		// Shutdown races the storm; the gate's close and flush must make
+		// every nil-returning Submit's onDone fire anyway.
 		if d := time.Duration(sc.ShutdownAtUS)*time.Microsecond - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}

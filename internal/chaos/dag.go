@@ -152,7 +152,7 @@ func runDAG(sc *Script, res *Result) {
 		go func(g int) {
 			defer wg.Done()
 			for di := g; di < len(sc.DAGs); di += sc.Submitters {
-				submitOneDAG(p, sc.DAGs[di], recs[di], di, res)
+				submitOneDAG(context.Background(), p, sc.DAGs[di], recs[di], di, res)
 			}
 		}(g)
 	}
@@ -174,13 +174,15 @@ func runDAG(sc *Script, res *Result) {
 	checkPoolStats(p, res, completed, discarded)
 }
 
-// submitOneDAG submits one planned graph and records each node's fate. A
-// whole-graph admission rejection fills every error slot with the same
-// sentinel; anything else means the graph was admitted and each node's
-// error reports its own resolution.
-func submitOneDAG(p *serve.Pool, d DAGSpec, recs []*jobRec, di int, res *Result) {
+// submitOneDAG submits one planned graph under a context derived from
+// parent and records each node's fate. A whole-graph admission rejection
+// fills every error slot with the same refusal sentinel — ErrExpired for
+// a context already done when the graph reached the pool; anything else
+// means the graph was admitted and each node's error reports its own
+// resolution.
+func submitOneDAG(parent context.Context, p *serve.Pool, d DAGSpec, recs []*jobRec, di int, res *Result) {
 	sleepUS(d.DelayUS)
-	ctx := context.Background()
+	ctx := parent
 	if d.CancelAtUS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(d.CancelAtUS)*time.Microsecond)
@@ -209,7 +211,8 @@ func submitOneDAG(p *serve.Pool, d DAGSpec, recs []*jobRec, di int, res *Result)
 	rejected := true
 	for _, e := range errs {
 		if !(errors.Is(e, serve.ErrQueueFull) || errors.Is(e, serve.ErrOverloaded) ||
-			errors.Is(e, serve.ErrDeadline) || errors.Is(e, serve.ErrDraining)) {
+			errors.Is(e, serve.ErrDeadline) || errors.Is(e, serve.ErrDraining) ||
+			errors.Is(e, serve.ErrExpired)) {
 			rejected = false
 			break
 		}

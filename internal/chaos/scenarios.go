@@ -252,7 +252,7 @@ var scenarios = []Scenario{
 			"per-worker injection shards while the cap oscillates and a " +
 			"mid-storm shutdown races the flush; every accepted job's " +
 			"onDone fires exactly once whether it ran, was stolen from a " +
-			"sibling shard, or was drained by the seal",
+			"sibling shard, or was drained by the shutdown flush",
 		plan: func(sc *Script, rng *xrand.Xoshiro256) {
 			sc.Layer = LayerRuntime
 			sc.MeshW, sc.MeshH = 6, 6

@@ -458,8 +458,14 @@ func (n *Node) GossipHandler() http.HandlerFunc {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		// The whole body must be one JSON document: Unmarshal, unlike a
+		// streaming Decode, refuses trailing bytes after the first value.
 		var msg gossipMsg
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBody)).Decode(&msg); err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBody))
+		if err == nil {
+			err = json.Unmarshal(body, &msg)
+		}
+		if err != nil {
 			http.Error(w, "bad gossip body", http.StatusBadRequest)
 			return
 		}

@@ -64,10 +64,10 @@ func TestRecordNewer(t *testing.T) {
 		hb    uint64
 		want  bool
 	}{
-		{1, 6, true},   // later heartbeat, same epoch
-		{1, 5, false},  // identical
-		{1, 4, false},  // older heartbeat
-		{2, 0, true},   // restart: higher epoch supersedes any heartbeat
+		{1, 6, true},    // later heartbeat, same epoch
+		{1, 5, false},   // identical
+		{1, 4, false},   // older heartbeat
+		{2, 0, true},    // restart: higher epoch supersedes any heartbeat
 		{0, 100, false}, // stale incarnation
 	} {
 		b := Record{Epoch: tc.epoch, Heartbeat: tc.hb}

@@ -22,13 +22,13 @@ import (
 // both report failure immediately, which is what the runtime's bounded
 // submit path and opportunistic drain want.
 // In addition to the ring itself, every shard carries a reservation
-// credit cell: the runtime's striped submission-backlog accounting caches
-// slack from its global cap pool here, so producers that keep hitting the
-// same shard reserve against a shard-local counter instead of all CASing
-// one global word. The credit cell is padded onto its own cache line —
-// producers hammer it while consumers hammer deq — and the shard itself
-// stays policy-free: it only moves integers, the cap invariant lives in
-// the runtime's borrow protocol (see wsrt/ledger.go: reserveUpTo/releaseSlot).
+// credit cell (TryReserve/Refund/StealCredit/CreditBalance), padded onto
+// its own cache line: a shard-local counter a producer can reserve
+// against instead of CASing one global word. Nothing in the runtime
+// calls it — wsrt enforces its submission cap with a single gate word
+// (see wsrt/gate.go) — and it stays for the benchmark's
+// deque.shard_reserve_refund_ns probe. The shard itself is policy-free:
+// it only moves integers.
 type Shard[T any] struct {
 	mask   uint64
 	slots  []shardSlot[T]
@@ -101,8 +101,7 @@ func (s *Shard[T]) Pushes() uint64 { return s.enq.Load() }
 // TryReserve claims up to want units of the shard's cached reservation
 // credit, returning how many were claimed (possibly 0). The CAS loop is
 // bounded: a producer that keeps losing the race walks away empty-handed
-// rather than spinning, and its caller falls through to the next rung of
-// the borrow ladder.
+// rather than spinning.
 func (s *Shard[T]) TryReserve(want int64) int64 {
 	if want <= 0 {
 		return 0
@@ -133,8 +132,7 @@ func (s *Shard[T]) Refund(n int64) {
 
 // StealCredit drains the shard's entire cached credit in one CAS attempt,
 // returning how much was taken (0 when empty or when the attempt lost a
-// race — scavengers probe every sibling, so a single attempt per shard is
-// enough and keeps the scan bounded).
+// race: a single attempt keeps a scan over many shards bounded).
 func (s *Shard[T]) StealCredit() int64 {
 	c := s.credit.Load()
 	if c <= 0 {

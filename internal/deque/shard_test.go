@@ -136,9 +136,9 @@ func TestShardLenBounds(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardCreditCell covers the reservation-credit accessors the
-// runtime's striped backlog ledger is built on: claims are bounded and
-// never overdraw, refunds restore, and StealCredit drains whole balances.
+// TestShardCreditCell covers the reservation-credit accessors: claims are
+// bounded and never overdraw, refunds restore, and StealCredit drains
+// whole balances.
 func TestShardCreditCell(t *testing.T) {
 	s := MustShard[int](8)
 	if got := s.CreditBalance(); got != 0 {

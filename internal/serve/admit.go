@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"palirria/internal/obs/stream"
@@ -17,12 +18,17 @@ import (
 // slots all-or-nothing and goes on the books whole before any node is
 // launched; a root the runtime then refuses is a cancellation.
 
-// open is the lifecycle and context gate every submission passes first.
+// open is the lifecycle and context gate every submission passes first. A
+// context already done is refused as ErrExpired wrapping ctx.Err(), so a
+// caller can tell a refusal from an admitted job its context cancelled.
 func (p *Pool) open(ctx context.Context) error {
 	if p.state.Load() != poolAccepting {
 		return ErrDraining
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrExpired, err)
+	}
+	return nil
 }
 
 // judge is the policy verdict for one class and start deadline at ladder
@@ -43,21 +49,21 @@ func (p *Pool) judge(class Class, deadline time.Time, lvl int32) (arg int64, err
 	return int64(lvl), nil
 }
 
-// takeSlots acquires n queue slots or none (ErrQueueFull): a partially
-// admitted graph would deadlock against itself when the missing nodes are
-// predecessors.
+// takeSlots acquires n queue slots or none (ErrQueueFull) in one CAS on
+// inflight against QueueCap: a partially admitted graph would deadlock
+// against itself when the missing nodes are predecessors, and two graphs
+// racing for the last slots cannot both be refused when one alone fits.
+// Each slot is one inflight count until release returns it.
 func (p *Pool) takeSlots(n int) error {
-	for i := 0; i < n; i++ {
-		select {
-		case p.slots <- struct{}{}:
-		default:
-			for ; i > 0; i-- {
-				<-p.slots
-			}
+	for {
+		cur := p.inflight.Load()
+		if cur+int64(n) > int64(p.cfg.QueueCap) {
 			return ErrQueueFull
 		}
+		if p.inflight.CompareAndSwap(cur, cur+int64(n)) {
+			return nil
+		}
 	}
-	return nil
 }
 
 // refuse books one refused job or node under its cause — the cause counter,
@@ -84,7 +90,6 @@ func (p *Pool) refuse(cause error, class Class, arg int64) error {
 // release returns one resident job's slot and signals Drain when it was
 // the last.
 func (p *Pool) release() {
-	<-p.slots
 	if p.inflight.Add(-1) == 0 {
 		p.noteIdle()
 	}
@@ -107,6 +112,8 @@ func (p *Pool) book(j *job, lvl int32) {
 //   - ErrDraining when the pool no longer admits work;
 //   - ErrOverloaded while the estimator-driven shed latch is armed;
 //   - ErrQueueFull when the bounded admission queue is at capacity;
+//   - ErrExpired, wrapped together with ctx.Err(), when the context was
+//     already done at admission — nothing was admitted;
 //   - ctx.Err() when the context expires — a job that has not started is
 //     skipped entirely; a job already running completes in the background
 //     (cooperative model: a fork/join body cannot be preempted) and is
@@ -133,7 +140,8 @@ func (p *Pool) SubmitJob(ctx context.Context, jb Job) error {
 
 // SubmitBatch admits fns as low-class, deadline-free jobs handed to the
 // runtime in a single wsrt.SubmitBatch call, so a wave of arrivals costs
-// one seal-lock acquisition and at most one wakeup per injection shard.
+// one reservation per chunk of eight and at most one wakeup per injection
+// shard.
 // The returned slice is aligned with fns: entry i is nil when job i
 // completed, or the error Submit would have returned for it — a full
 // queue rejects the overflow entries and admits the rest.
@@ -170,12 +178,11 @@ func (p *Pool) admit(ctx context.Context, jobs []Job, errs []error) {
 		}
 		j, wrapped, onDone := p.prepare(jb.Fn, class)
 		j.idx = i
-		p.inflight.Add(1)
 		held = append(held, j)
 		batch = append(batch, wsrt.Job{Fn: wrapped, OnDone: onDone})
 	}
 	// Booked strictly for the runtime-accepted prefix: a partial
-	// acceptance — (n, ErrSubmitQueueFull) or a mid-batch seal's (n>0,
+	// acceptance — (n, ErrSubmitQueueFull) or a mid-batch close's (n>0,
 	// ErrClosed) — must not inflate admitted past what the runtime holds
 	// (TestPoolBatchAdmittedMatchesRuntimePrefix pins both shapes).
 	n, err := p.submitBatch(batch)
@@ -229,8 +236,7 @@ func (p *Pool) missesDeadline(deadline time.Time) (waitNS int64, late bool) {
 
 // prepare builds one job record with its wrapped body and completion
 // callback — the per-job half of admission, shared by both shapes. The
-// caller owns the slot and inflight bookkeeping up to the hand-off; onDone
-// returns both.
+// caller owns the job's slot up to the hand-off; onDone returns it.
 func (p *Pool) prepare(fn wsrt.Func, class Class) (*job, wsrt.Func, func()) {
 	j := &job{id: p.jobSeq.Add(1), class: class, done: make(chan struct{})}
 	submitNS := nowNS()

@@ -89,8 +89,8 @@ func TestPoolBatchAdmittedMatchesRuntimePrefix(t *testing.T) {
 				t.Fatalf("conservation broken: admitted %d != completed %d + cancelled %d",
 					st.Admitted, st.Completed, st.Cancelled)
 			}
-			if free := cap(p.slots) - len(p.slots); free != cap(p.slots) {
-				t.Fatalf("slots leaked: %d of %d free", free, cap(p.slots))
+			if held := p.inflight.Load(); held != 0 {
+				t.Fatalf("slots leaked: %d of %d held", held, p.cfg.QueueCap)
 			}
 
 			sub.Close()

@@ -82,7 +82,10 @@ func validateDAG(nodes []DAGNode) (indeg []int32, succs [][]int, err error) {
 //
 // The returned slice is aligned with nodes: entry i is nil when node i
 // completed, ErrCancelled when a failed predecessor cancelled it, or the
-// per-job error Submit would have returned. The second return is non-nil
+// per-job error Submit would have returned. A graph refused as a unit —
+// ErrQueueFull, ErrOverloaded, ErrDeadline, ErrDraining, or ErrExpired
+// for a context already done — carries the same refusal in every entry
+// and admitted nothing. The second return is non-nil
 // only for a structurally invalid graph (ErrBadDAG: out-of-range
 // dependency or cycle), in which case nothing was admitted.
 //
@@ -136,7 +139,6 @@ func (p *Pool) SubmitDAG(ctx context.Context, nodes []DAGNode) ([]error, error) 
 	// shutdown flush, or by the ledger's cancel path — so counting the
 	// whole graph admitted now preserves the conservation identity
 	// Admitted == Completed + Cancelled at drain.
-	p.inflight.Add(int64(len(nodes)))
 	for _, dn := range d.nodes {
 		p.book(dn.j, lvl)
 	}

@@ -148,9 +148,9 @@ func TestSubmitDAGAllOrNothingSlots(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Admitted != 0 || st.RejectedFull != 3 || len(p.slots) != 0 {
+	if st.Admitted != 0 || st.RejectedFull != 3 || p.inflight.Load() != 0 {
 		t.Fatalf("all-or-nothing broken: admitted %d, rejected_full %d, held slots %d",
-			st.Admitted, st.RejectedFull, len(p.slots))
+			st.Admitted, st.RejectedFull, p.inflight.Load())
 	}
 	// A graph that fits admits normally afterwards.
 	errs, err = p.SubmitDAG(context.Background(), nodes[:2])
@@ -243,8 +243,8 @@ func TestSubmitDAGDeadlineRefusalCountsPerNode(t *testing.T) {
 		t.Fatalf("rejected-deadline %d / class shed %d / admitted %d, want 3/3/0",
 			st.RejectedDeadline, classShed, st.Admitted)
 	}
-	if len(p.slots) != 0 {
-		t.Fatalf("refused graph holds %d queue slots", len(p.slots))
+	if held := p.inflight.Load(); held != 0 {
+		t.Fatalf("refused graph holds %d queue slots", held)
 	}
 	drain(t, p)
 	sub.Close()
@@ -257,5 +257,79 @@ func TestSubmitDAGDeadlineRefusalCountsPerNode(t *testing.T) {
 	if events != classShed {
 		t.Fatalf("deadline-shed events = %d, class-shed ledger = %d: stream and ledger disagree",
 			events, classShed)
+	}
+}
+
+// TestSubmitDAGRacingGraphsOneAdmitted races two graphs for a queue sized
+// for exactly one of them. Slots are taken in one step, so exactly one
+// graph is admitted every round; a slot-by-slot acquire that unwinds on
+// failure can refuse both when each holds part of the queue.
+func TestSubmitDAGRacingGraphsOneAdmitted(t *testing.T) {
+	const size, rounds = 64, 300
+	p := quietPool(t, Config{Name: "t", QueueCap: size,
+		Runtime: wsrt.Config{Mesh: topo.MustMesh(2, 1)}})
+	for round := 0; round < rounds; round++ {
+		hold, start := make(chan struct{}), make(chan struct{})
+		results := make(chan []error, 2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				nodes := make([]DAGNode, size)
+				for i := range nodes {
+					nodes[i].Fn = func(c *wsrt.Ctx) { <-hold }
+					if i > 0 {
+						nodes[i].Deps = []int{i - 1}
+					}
+				}
+				<-start
+				errs, err := p.SubmitDAG(context.Background(), nodes)
+				if err != nil {
+					t.Error(err)
+				}
+				results <- errs
+			}()
+		}
+		close(start)
+		// The admitted graph cannot resolve before hold closes, so the
+		// first answer is the refused one.
+		refused := <-results
+		close(hold)
+		admitted := <-results
+		for i := range refused {
+			if !errors.Is(refused[i], ErrQueueFull) || admitted[i] != nil {
+				t.Fatalf("round %d node %d: refused graph %v, admitted graph %v; want exactly one graph admitted",
+					round, i, refused[i], admitted[i])
+			}
+		}
+	}
+	drain(t, p)
+	if st := p.Stats(); st.Admitted != size*rounds || st.RejectedFull != size*rounds || st.Completed != st.Admitted {
+		t.Fatalf("admitted %d / rejected_full %d / completed %d, want %d each",
+			st.Admitted, st.RejectedFull, st.Completed, size*rounds)
+	}
+}
+
+// TestExpiredContextIsRefusedNotCancelled submits on a context that is
+// already done. Nothing may be admitted or counted, and every answer must
+// read as a refusal (ErrExpired) while still matching ctx.Err(), so a
+// caller can tell it from an admitted job its context cancelled.
+func TestExpiredContextIsRefusedNotCancelled(t *testing.T) {
+	p := quietPool(t, Config{Name: "t", Runtime: wsrt.Config{Mesh: topo.MustMesh(2, 1)}})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	noop := func(c *wsrt.Ctx) {}
+	errs, err := p.SubmitDAG(ctx, []DAGNode{{Fn: noop}, {Fn: noop, Deps: []int{0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs = append(errs, p.SubmitBatch(ctx, []wsrt.Func{noop, noop})...)
+	errs = append(errs, p.Submit(ctx, noop))
+	for i, e := range errs {
+		if !errors.Is(e, ErrExpired) || !errors.Is(e, context.Canceled) {
+			t.Fatalf("answer %d = %v, want ErrExpired wrapping context.Canceled", i, e)
+		}
+	}
+	drain(t, p)
+	if st := p.Stats(); st.Admitted != 0 || st.Cancelled != 0 || st.InFlight != 0 {
+		t.Fatalf("admitted %d / cancelled %d / in-flight %d, want 0 each", st.Admitted, st.Cancelled, st.InFlight)
 	}
 }

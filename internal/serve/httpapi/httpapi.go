@@ -281,7 +281,10 @@ func tally(errs []error) (completed int, first error) {
 
 // refuse answers a submission nothing of which completed: backpressure
 // (full queue, shed ladder, unmeetable deadline) is 429, a pool that is
-// going away 503, anything else the client's own context.
+// going away 503, anything else the client's own context (408). A request
+// whose context was done before admission (serve.ErrExpired) and one
+// whose admitted jobs it then cancelled both answer 408 — the client is
+// gone either way — and only the second shows in the pool's counters.
 func refuse(w http.ResponseWriter, err error) {
 	status := http.StatusRequestTimeout // context cancellation: the client went away
 	switch {

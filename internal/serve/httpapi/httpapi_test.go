@@ -438,3 +438,21 @@ func TestServerClusterDisabled(t *testing.T) {
 		t.Fatalf("/cluster without cluster mode = %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestServerSubmitDAGExpiredRequest sends /submit-dag on a request whose
+// context is already done: the graph is refused at the gate, answered
+// 408 as the client's own context, and nothing reaches the pool's books.
+func TestServerSubmitDAGExpiredRequest(t *testing.T) {
+	s, _ := startServer(t, 16, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/submit-dag?workload=pipeline&work=500", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestTimeout || !strings.Contains(rec.Body.String(), "before admission") {
+		t.Fatalf("expired /submit-dag = %d %q, want 408 naming the refusal", rec.Code, rec.Body.String())
+	}
+	if st := s.cfg.Pools[0].Stats(); st.Admitted != 0 || st.Cancelled != 0 {
+		t.Fatalf("expired graph reached the books: admitted %d, cancelled %d", st.Admitted, st.Cancelled)
+	}
+}

@@ -4,8 +4,8 @@ package serve
 // (filtered desire, capacity, resident jobs) triple per quantum and answers
 // with the shed level — 0 admits everything, level L sheds every class
 // below L (low at 1, normal at 2, high at 3). Pool.noteQuantum steps it on
-// the runtime's helper goroutine; nothing in it reads a clock, an atomic or
-// the slot channel, so tests replay quantum sequences on the bare value.
+// the runtime's helper goroutine; nothing in it reads a clock or an
+// atomic, so tests replay quantum sequences on the bare value.
 type shedLadder struct {
 	shedQuanta, queueCap int
 	// pinned counts consecutive quanta of filtered desire at capacity.

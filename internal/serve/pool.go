@@ -80,11 +80,11 @@ type Pool struct {
 	// jobSeq hands out the per-pool job ids carried on stream events.
 	jobSeq atomic.Uint64
 
-	// slots bounds resident jobs; acquired at admission, released when a
-	// job completes or is discarded.
-	slots chan struct{}
-
-	state    atomic.Int32
+	state atomic.Int32
+	// inflight counts resident jobs (queued plus running) and is the
+	// admission queue's bound: takeSlots claims against QueueCap at
+	// admission, release returns the slot when a job completes or is
+	// discarded.
 	inflight atomic.Int64
 	running  atomic.Int64
 
@@ -156,7 +156,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg:       cfg,
-		slots:     make(chan struct{}, cfg.QueueCap),
 		latHist:   obs.NewHistogram(nil),
 		ladder:    shedLadder{shedQuanta: cfg.ShedQuanta, queueCap: cfg.QueueCap},
 		drainedCh: make(chan struct{}),
@@ -217,7 +216,7 @@ func (p *Pool) noteQuantum(q wsrt.QuantumInfo) {
 			break
 		}
 	}
-	lvl := p.ladder.step(q.Filtered, q.Capacity, len(p.slots))
+	lvl := p.ladder.step(q.Filtered, q.Capacity, int(p.inflight.Load()))
 	p.shedLevel.Store(lvl)
 	p.shedding.Store(lvl > 0)
 }

@@ -95,7 +95,7 @@ func TestPoolQueueFull(t *testing.T) {
 		}
 	}()
 	// Wait until the third job holds the last slot.
-	for i := 0; len(p.slots) < 3 && i < 1000; i++ {
+	for i := 0; p.inflight.Load() < 3 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if err := p.Submit(context.Background(), func(c *wsrt.Ctx) {}); !errors.Is(err, ErrQueueFull) {

@@ -56,6 +56,13 @@ var (
 	// ErrCancelled reports a DAG node cancelled because a predecessor did
 	// not complete (it was discarded, cancelled, or the pool shut down).
 	ErrCancelled = errors.New("serve: job cancelled by a failed predecessor")
+	// ErrExpired reports a submission refused at the admission gate
+	// because its context was already done: nothing was admitted or
+	// counted. It always comes wrapped together with ctx.Err(), so
+	// errors.Is matches both it and context.Canceled or
+	// context.DeadlineExceeded, while a job the context cancelled after
+	// admission returns the bare ctx.Err().
+	ErrExpired = errors.New("serve: context done before admission")
 	// ErrBadDAG reports a structurally invalid DAG: an out-of-range
 	// dependency index or a dependency cycle. Nothing was admitted.
 	ErrBadDAG = errors.New("serve: invalid job graph")

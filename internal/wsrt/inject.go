@@ -41,8 +41,8 @@ type Job struct {
 
 // submitBatchChunk is how many jobs one SubmitBatch iteration reserves
 // and publishes against a single shard: large enough to amortize the
-// reservation ladder to roughly one walk per eight jobs, small enough
-// that a burst still spreads over several shards for parallel pickup.
+// gate's CAS to one per eight jobs, small enough that a burst still
+// spreads over several shards for parallel pickup.
 const submitBatchChunk = 8
 
 // SubmitBatch is the runtime's one submit body. Each chunk of jobs lands in
@@ -55,12 +55,12 @@ const submitBatchChunk = 8
 // Acceptance is a prefix: the first n jobs were enqueued, jobs[n:] were
 // not touched. err is nil when every job was accepted, ErrClosed after
 // Shutdown, or ErrSubmitQueueFull when the aggregate backlog bound filled.
-// The closed check, the reservation and the pushes of a chunk are composed
-// under the picked shard's seal lock, so an accepted job is always
+// A chunk's closed check and reservation are one CAS on the gate, and a
+// push under a reservation cannot fail, so an accepted job is always
 // observed by Shutdown's flush: its OnDone fires exactly once, because it
 // ran or because the flush discarded it. A Shutdown racing the batch can
-// seal it between chunks, so ErrClosed, like ErrSubmitQueueFull, may come
-// with n > 0.
+// close the gate between chunks, so ErrClosed, like ErrSubmitQueueFull,
+// may come with n > 0.
 func (r *Runtime) SubmitBatch(jobs []Job) (n int, err error) {
 	if !r.persistent {
 		return 0, ErrNotPersistent
@@ -69,14 +69,11 @@ func (r *Runtime) SubmitBatch(jobs []Job) (n int, err error) {
 	var touchedBuf [8]*worker
 	touched := touchedBuf[:0]
 	for n < len(jobs) && err == nil {
-		w := r.pickShard(b)
-		w.seal.RLock()
 		var got int64
-		if r.closed.Load() {
-			err = ErrClosed
-		} else if got = r.ledger.reserveUpTo(w.shard, min(int64(len(jobs)-n), submitBatchChunk)); got == 0 {
-			err = ErrSubmitQueueFull
+		if got, err = r.gate.reserve(min(int64(len(jobs)-n), submitBatchChunk)); err != nil {
+			break
 		}
+		w := r.pickShard(b)
 		for i := int64(0); i < got; i++ {
 			t := &rtTask{fn: jobs[n].Fn, onDone: jobs[n].OnDone, onTerm: jobs[n].OnTerminal}
 			pw := w
@@ -86,7 +83,7 @@ func (r *Runtime) SubmitBatch(jobs []Job) (n int, err error) {
 				// scan beats a lost job if the sizing invariant is ever
 				// broken.
 				if pw = r.pushAny(t); pw == nil {
-					w.shard.Refund(got - i)
+					r.gate.release(got - i)
 					err = ErrSubmitQueueFull
 					break
 				}
@@ -96,7 +93,6 @@ func (r *Runtime) SubmitBatch(jobs []Job) (n int, err error) {
 				touched = append(touched, pw)
 			}
 		}
-		w.seal.RUnlock()
 	}
 	for _, tw := range touched {
 		r.wakeForInject(tw)
@@ -113,7 +109,7 @@ func (r *Runtime) popShard(v *worker) *rtTask {
 	if !ok {
 		return nil
 	}
-	r.ledger.releaseSlot(v.shard)
+	r.gate.release(1)
 	return t
 }
 
@@ -127,7 +123,7 @@ func (r *Runtime) popShard(v *worker) *rtTask {
 // and pops overlapped this Submit, and the "shallower" pick is only
 // statistically shallower, not instantaneously so. That is the contract
 // p2c needs: correctness never depends on depth (capacity is enforced by
-// the reservation ledger, and a push after a successful reservation
+// the submission gate, and a push after a successful reservation
 // cannot fail), depth only steers placement, and steering only requires
 // the comparison to be right on average (TestPickShardPrefersShallower
 // pins that; the adversarial interleavings belong to the cap-invariant

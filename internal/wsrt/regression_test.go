@@ -16,9 +16,10 @@ import (
 // Submit-vs-Shutdown TOCTOU: a Submit that passed the closed check could
 // complete its queue send after Shutdown's flush loop had already
 // observed an empty queue, leaving a job whose Submit returned nil but
-// whose onDone never fired — a silently lost job. The seal lock composes
-// the closed check with the send, so every nil-returning Submit's job is
-// either run or flushed.
+// whose onDone never fired — a silently lost job. The submission gate
+// makes the closed check and the reservation one CAS, and Shutdown
+// flushes until every reservation is back, so every nil-returning
+// Submit's job is either run or flushed.
 //
 // The test hammers Submit from several goroutines while Shutdown races
 // at a jittered offset, then requires onDone to have fired exactly once

@@ -29,7 +29,7 @@ func blockAllWorkers(t *testing.T, rt *Runtime, n int) chan struct{} {
 }
 
 // TestShutdownFlushesAllShards is the regression gate for the sharded
-// flush: jobs queued across several injection shards at seal time must
+// flush: jobs queued across several injection shards when Shutdown closes the gate must
 // all have their onDone fired by Shutdown — a flush that drained only one
 // queue (the legacy global funnel, or just the first shard) loses some.
 func TestShutdownFlushesAllShards(t *testing.T) {
@@ -57,7 +57,7 @@ func TestShutdownFlushesAllShards(t *testing.T) {
 	if nonEmpty < 2 {
 		t.Fatalf("round-robin left %d shards non-empty, want >= 2 (test would not prove a multi-shard flush)", nonEmpty)
 	}
-	// Shutdown seals and stops the workers; they are all still inside the
+	// Shutdown closes the gate and stops the workers; they are all still inside the
 	// gated jobs, so none can drain a shard before retiring. Release the
 	// gate only after every worker is marked stopped — the queued jobs can
 	// then only resolve through the flush.
@@ -315,14 +315,12 @@ func TestStrandedJobPickupLatency(t *testing.T) {
 		}
 	}
 	done := make(chan struct{})
-	victim.seal.RLock()
-	if rt.ledger.reserveUpTo(victim.shard, 1) != 1 {
-		t.Fatal("reservation failed on an idle runtime")
+	if got, err := rt.gate.reserve(1); got != 1 || err != nil {
+		t.Fatalf("reservation failed on an idle runtime: %d, %v", got, err)
 	}
 	if !victim.shard.Push(&rtTask{fn: func(*Ctx) {}, onDone: func() { close(done) }}) {
 		t.Fatal("push failed after successful reservation")
 	}
-	victim.seal.RUnlock()
 	rt.wakeForInject(victim)
 	select {
 	case <-done:

@@ -11,13 +11,13 @@ import (
 	"palirria/internal/topo"
 )
 
-// TestSubmitNoLivelockAtCap pins the bounded-retry contract of the
-// reservation ladder: producers hammering a saturated backlog must each
-// get ErrSubmitQueueFull promptly — reserveUpTo's CAS loops are bounded
-// (reserveRetries), so contention at the cap boundary degrades to an
-// error return, never to a spin. The regression this guards against: an
-// unbounded CAS retry loop on the slack pool would let 16 producers
-// livelock each other indefinitely when free == 0.
+// TestSubmitNoLivelockAtCap pins the progress contract of the submission
+// gate: producers hammering a saturated backlog must each get
+// ErrSubmitQueueFull promptly — a full gate refuses on its load, before
+// any CAS, so contention at the cap boundary degrades to an error return,
+// never to a spin. The regression this guards against: a retry loop that
+// waits for room would let 16 producers livelock each other indefinitely
+// when the cap is reached.
 func TestSubmitNoLivelockAtCap(t *testing.T) {
 	const cap = 8
 	rt, err := New(Config{Mesh: topo.MustMesh(4, 2), Source: 0, InitialDiaspora: 10, SubmitQueueCap: cap})
@@ -28,8 +28,8 @@ func TestSubmitNoLivelockAtCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := blockAllWorkers(t, rt, len(rt.workerList))
-	// Fill the backlog to exactly the cap. The ladder is sequentially
-	// exhaustive, so every one of these must be accepted.
+	// Fill the backlog to exactly the cap. The gate is one exact count, so
+	// every one of these must be accepted.
 	for i := 0; i < cap; i++ {
 		if err := rt.Submit(func(c *Ctx) {}, nil); err != nil {
 			t.Fatalf("fill submit %d/%d: %v", i, cap, err)
@@ -71,11 +71,11 @@ func TestSubmitNoLivelockAtCap(t *testing.T) {
 }
 
 // TestBacklogGaugeNeverNegativeHammer is the regression test for the
-// double-decrement class of bugs the striped ledger was built to
-// exclude: under concurrent producers, running consumers, allotment
+// double-decrement class of bugs the submission gate must exclude: under
+// concurrent producers, running consumers, allotment
 // oscillation (which exercises the takeSibling rescue scan), and a
 // racing Shutdown (the flush), the palirria_submit_backlog derivation
-// must never go negative and the final ledger must balance exactly.
+// must never go negative and the final gate must balance exactly.
 // With the old aggregate counter, any pop path pairing its decrement
 // twice sent the gauge negative; backlogTotal is now a sum of
 // individually non-negative ring depths, and this test pins that plus
@@ -153,9 +153,8 @@ func TestBacklogGaugeNeverNegativeHammer(t *testing.T) {
 		}
 	}()
 	// Sampler: the backlog gauge derivation must be non-negative at every
-	// racy read, and under the seal barrier the queued total must respect
-	// the cap (pushes are excluded while all write seals are held and
-	// pops only shrink, so the summed snapshot is sound).
+	// racy read, and the gate's reserved count — one atomic word, so every
+	// read is a sound snapshot — must stay within [0, cap].
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -169,20 +168,15 @@ func TestBacklogGaugeNeverNegativeHammer(t *testing.T) {
 				t.Errorf("backlog gauge went negative: %d", got)
 				return
 			}
-			if i%8 == 0 {
-				rt.sealAll()
-				got := rt.backlogTotal()
-				rt.unsealAll()
-				if got > int64(rt.cfg.SubmitQueueCap) {
-					t.Errorf("sealed backlog %d exceeds SubmitQueueCap %d", got, rt.cfg.SubmitQueueCap)
-					return
-				}
+			if got := rt.gate.reserved(); got < 0 || got > int64(rt.cfg.SubmitQueueCap) {
+				t.Errorf("reserved backlog %d outside [0, SubmitQueueCap %d]", got, rt.cfg.SubmitQueueCap)
+				return
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
 	time.Sleep(latencyBudget(80 * time.Millisecond))
-	// Shutdown races the still-running producers: the seal barrier plus
+	// Shutdown races the still-running producers: the gate's close plus
 	// flush must account for every accepted job exactly once.
 	if _, err := rt.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -206,7 +200,7 @@ func TestBacklogGaugeNeverNegativeHammer(t *testing.T) {
 // with one deep shard among n, power-of-two-choices lands on it only
 // when both candidates are it (probability 1/n²), versus 1/n for a
 // depth-blind uniform pick. Correctness never depends on the read being
-// fresh (capacity is the ledger's job); this test is what the contract
+// fresh (capacity is the gate's job); this test is what the contract
 // in pickShard's doc comment points at.
 func TestPickShardPrefersShallower(t *testing.T) {
 	// The member counts cover a power of two and two non-powers-of-two:
@@ -258,10 +252,10 @@ func TestPickShardPrefersShallower(t *testing.T) {
 // TestSubmitCapInvariantProperty is the property test the tentpole's
 // bound rests on: across seeded interleavings of Submit, SubmitBatch,
 // owner drains, sibling rescues, allotment churn, and the shutdown
-// flush, the number of queued-but-unstarted jobs never exceeds
-// SubmitQueueCap (sampled under the seal barrier, where the sum is
-// sound), and after shutdown every unit of the cap is back in the
-// ledger exactly once. Each sub-case derives its shape from the seed so
+// flush, the number of reserved backlog units (queued-but-unstarted jobs
+// plus pushes under way) stays within [0, SubmitQueueCap] at every
+// sample, and after shutdown every unit is back in the gate exactly
+// once. Each sub-case derives its shape from the seed so
 // CI's -shuffle=on and -race runs walk distinct interleavings.
 func TestSubmitCapInvariantProperty(t *testing.T) {
 	cases := []struct {
@@ -354,18 +348,13 @@ func TestSubmitCapInvariantProperty(t *testing.T) {
 					}
 				}
 			}()
-			// The property: sampled under the seal barrier, the queued total
-			// never exceeds the cap. (Unsealed sums can transiently
-			// double-count a unit mid-transfer, so the barrier is part of the
-			// invariant's statement, not a test convenience.)
+			// The property: the gate's reserved count is one word, so each
+			// sample is an exact snapshot, and it never leaves [0, cap].
 			deadline := time.Now().Add(latencyBudget(40 * time.Millisecond))
 			for time.Now().Before(deadline) {
-				rt.sealAll()
-				got := rt.backlogTotal()
-				rt.unsealAll()
-				if got > int64(tc.cap) {
+				if got := rt.gate.reserved(); got < 0 || got > int64(tc.cap) {
 					close(stop)
-					t.Fatalf("queued jobs %d exceed SubmitQueueCap %d", got, tc.cap)
+					t.Fatalf("reserved backlog %d outside [0, SubmitQueueCap %d]", got, tc.cap)
 				}
 				time.Sleep(300 * time.Microsecond)
 			}

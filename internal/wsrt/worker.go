@@ -2,7 +2,6 @@ package wsrt
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"palirria/internal/deque"
@@ -21,9 +20,10 @@ const (
 // worker is one work-stealing worker thread. Field layout is a deliberate
 // padding audit: the owner-only hot section comes first, then a cache
 // line of padding before the foreign-written flags (wakers CAS waiting,
-// the helper flips state), then another before the producer-hammered seal
-// lock — so a producer sealing a Submit or a waker delivering a token
-// never invalidates the line the owner's inner loop is reading.
+// the helper flips state), then another before the owner-written stats,
+// and a last one after them — so a waker delivering a token never
+// invalidates the line the owner's inner loop is reading, and the owner's
+// stat updates never invalidate the flags' line or a neighbour's.
 type worker struct {
 	id    topo.CoreID
 	rt    *Runtime
@@ -85,18 +85,14 @@ type worker struct {
 	// busy reports a task currently executing.
 	busy atomic.Bool
 
-	_ [52]byte // and the producer-side seal off the flags the owner writes
-
-	// seal is this worker's stripe of the submission seal: producers hold
-	// the read side across the closed check, the reservation, and the
-	// shard push; Shutdown's barrier (and the cap-invariant test sampler)
-	// write-locks every stripe in workerList order. One stripe per worker
-	// keeps the submit fast path free of producer-shared cache lines.
-	seal sync.RWMutex
-
-	_ [40]byte // and the owner-written stats off the seal's line
+	_ [64]byte // and the owner-written stats off the flags' line
 
 	stats WorkerReport
+
+	// Workers are allocated back to back, and thieves, wakers and producers
+	// read the next worker's leading fields (deque, shard, parkC): keep
+	// them off the line this worker's stats updates write.
+	_ [64]byte
 }
 
 // noteSpawn folds a post-push queue length into the µ(Q) high-water mark,

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"palirria/internal/core"
-	"palirria/internal/deque"
 	"palirria/internal/obs"
 	"palirria/internal/sysched"
 	"palirria/internal/topo"
@@ -181,8 +180,7 @@ type Runtime struct {
 	ctrl *core.Controller
 
 	// workerList holds one worker per usable core in core-id order. Every
-	// walk over the workers goes through it, so walks are deterministic
-	// and the seal barrier has a single lock order.
+	// walk over the workers goes through it, so walks are deterministic.
 	workerList []*worker
 	// byID is a dense CoreID -> worker index for the hot paths (steal
 	// probes, shard scans): a slice load is ~3x cheaper than a map lookup
@@ -213,19 +211,15 @@ type Runtime struct {
 
 	// persistent-mode state: job roots enter the per-worker injection
 	// shards (worker.shard) through one submit body (SubmitBatch) and leave
-	// through one pop (popShard). The body reserves against the ledger
-	// before it pushes and popShard releases what it pops; every ring is at
-	// least SubmitQueueCap deep, so a push under a reservation cannot fail.
-	//
-	// The per-worker seal locks (worker.seal) compose the closed check with
-	// the shard push, so no job can land in a shard after Shutdown's flush
-	// and be silently lost (see the seal barrier in Shutdown).
+	// through one pop (popShard). The body reserves on the gate before it
+	// pushes and popShard releases what it pops; Shutdown closes the gate
+	// and flushes until every reservation is back, so no accepted job can
+	// be silently lost.
 	persistent bool
-	closed     atomic.Bool
 	stopHelper chan struct{}
 	helperDone chan struct{}
 
-	ledger ledger
+	gate gate
 
 	timeline  trace.Timeline
 	decisions trace.Log
@@ -312,7 +306,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	// Create a worker for every usable core; activate the initial set.
 	r.byID = make([]*worker, r.mesh.NumCores())
-	var shards []*deque.Shard[rtTask]
 	for id := topo.CoreID(0); int(id) < r.mesh.NumCores(); id++ {
 		if r.mesh.Reserved(id) {
 			continue
@@ -324,9 +317,8 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		r.workerList = append(r.workerList, w)
 		r.byID[id] = w
-		shards = append(shards, w.shard)
 	}
-	r.ledger.init(cfg.SubmitQueueCap, shards)
+	r.gate.limit = int64(cfg.SubmitQueueCap)
 	if cfg.Tracer != nil {
 		r.helperRing = cfg.Tracer.NewRing(false)
 	}
@@ -374,8 +366,8 @@ func (r *Runtime) registerMetrics(reg *obs.Registry) {
 		sum(func(w *worker) *int64 { return &w.stats.ShardSteals }), base...)
 	reg.GaugeFunc("palirria_submit_backlog", "Submitted job roots not yet started, across all shards.",
 		func() float64 { return float64(r.backlogTotal()) }, base...)
-	reg.GaugeFunc("palirria_submit_slack", "Unreserved submission-backlog capacity (global pool plus per-shard credit caches).",
-		func() float64 { return float64(r.ledger.slack()) }, base...)
+	reg.GaugeFunc("palirria_submit_slack", "Unreserved submission-backlog capacity (SubmitQueueCap minus reserved units).",
+		func() float64 { return float64(r.gate.limit - r.gate.reserved()) }, base...)
 	for _, w := range r.workerList {
 		w := w
 		lbls := append(append([]obs.Label(nil), base...), obs.Label{Key: "core", Value: fmt.Sprint(w.id)})
@@ -438,18 +430,9 @@ func (r *Runtime) Shutdown() (*Report, error) {
 	if !r.persistent {
 		return nil, ErrNotPersistent
 	}
-	if !r.closed.CompareAndSwap(false, true) {
+	if !r.gate.close() {
 		return nil, ErrClosed
 	}
-	// Seal barrier: every Submit holds its picked shard's seal read lock
-	// from the closed check through the publish (including a pushAny
-	// redirect into any other shard), so holding every write lock once
-	// waits out all in-flight producers, and producers that arrive later
-	// observe closed first. After the barrier the submission path is
-	// quiescent for good: every Submit that will ever return nil has
-	// finished publishing into its shard.
-	r.sealAll()
-	r.unsealAll()
 	r.finished.Store(true)
 	r.teardown()
 	// Wall clock is captured after quiesce: workers keep accruing IdleNS
@@ -457,38 +440,32 @@ func (r *Runtime) Shutdown() (*Report, error) {
 	// could be exceeded by a worker's UsefulNS+SearchNS+IdleNS sum,
 	// breaking the accounting partition the report promises.
 	wall := nowNS() - r.startNS
-	// Flush submissions that no worker will ever pick up — every shard,
-	// not just the one the last submitter touched. Workers exited in
-	// teardown and the path is sealed, so this drain observes every job
-	// ever admitted and still unrun, and leaves the ledger balanced.
-	for _, w := range r.workerList {
-		for t := r.popShard(w); t != nil; t = r.popShard(w) {
-			if t.onDone != nil {
-				t.onDone()
+	// Flush submissions that no worker will ever pick up, every shard, until
+	// every reservation is back. The gate is closed, so no new reservation
+	// can be made; a producer that reserved before the close is still
+	// pushing, and its push cannot fail, so a sweep that pops nothing only
+	// has to yield to it.
+	for {
+		popped := false
+		for _, w := range r.workerList {
+			for t := r.popShard(w); t != nil; t = r.popShard(w) {
+				popped = true
+				if t.onDone != nil {
+					t.onDone()
+				}
+				if t.onTerm != nil {
+					t.onTerm(false)
+				}
 			}
-			if t.onTerm != nil {
-				t.onTerm(false)
-			}
+		}
+		if r.gate.reserved() <= 0 {
+			break
+		}
+		if !popped {
+			runtime.Gosched()
 		}
 	}
 	return r.buildReport(wall), nil
-}
-
-// sealAll acquires every worker's seal write lock in workerList order —
-// the single seal lock order in the package. Shutdown's barrier and the
-// cap-invariant test sampler both go through here, so they cannot
-// deadlock against each other.
-func (r *Runtime) sealAll() {
-	for _, w := range r.workerList {
-		w.seal.Lock()
-	}
-}
-
-// unsealAll releases the locks sealAll took.
-func (r *Runtime) unsealAll() {
-	for _, w := range r.workerList {
-		w.seal.Unlock()
-	}
 }
 
 // backlogTotal is the submitted-but-unstarted job count: the sum of
@@ -513,19 +490,22 @@ func (r *Runtime) injectedTotal() int64 {
 	return t
 }
 
-// VerifySubmitLedger audits the reservation ledger of a shut-down
-// persistent runtime (see ledger.audit): the flush must have emptied the
-// shards and every unit of SubmitQueueCap must be back in exactly one
-// place. The chaos harness calls this after every runtime scenario; it
-// returns nil on batch-mode runtimes, which have no submission ledger.
+// VerifySubmitLedger audits the submission gate of a shut-down persistent
+// runtime (see gate.audit): the flush must have emptied the shards and
+// every reserved unit of SubmitQueueCap must be back exactly once. The
+// chaos harness calls this after every runtime scenario; it returns nil on
+// batch-mode runtimes, which have no submission gate.
 func (r *Runtime) VerifySubmitLedger() error {
 	if !r.persistent {
 		return nil
 	}
-	if !r.closed.Load() {
+	if !r.gate.closed() {
 		return errors.New("wsrt: submit-ledger audit requires a shut-down runtime")
 	}
-	return r.ledger.audit()
+	if n := r.backlogTotal(); n != 0 {
+		return fmt.Errorf("wsrt: submit gate: %d jobs still queued after the shutdown flush", n)
+	}
+	return r.gate.audit()
 }
 
 // launch starts every worker goroutine (granted ones active, the rest

@@ -299,6 +299,9 @@ var (
 	ErrDraining = serve.ErrDraining
 	// ErrDiscarded reports a job discarded at shutdown before it ran.
 	ErrDiscarded = serve.ErrDiscarded
+	// ErrExpired reports a submission whose context was already done at
+	// admission; nothing was admitted. It also matches ctx.Err().
+	ErrExpired = serve.ErrExpired
 )
 
 // NewPool builds a serving pool and starts its resident runtime.
