@@ -1,5 +1,10 @@
 package core
 
+import (
+	"palirria/internal/topo"
+	"palirria/internal/trace"
+)
+
 // Filter implements the system-level false-positive logic the paper
 // describes in §3: "there is logic implemented to identify specific
 // patterns and discard false positives. This mechanism is part of the
@@ -63,7 +68,8 @@ func (f *Filter) Apply(current, desired int) int {
 func (f *Filter) Reset() { f.streak, f.streakLen = Keep, 0 }
 
 // Controller combines an estimator with the false-positive filter. Both
-// execution platforms drive it once per quantum.
+// execution platforms drive it once per quantum through the same three
+// calls: Sample the allotment, Step, and Record the grant.
 type Controller struct {
 	// Est is the wrapped estimator.
 	Est Estimator
@@ -71,8 +77,11 @@ type Controller struct {
 	// the filter ablation).
 	Filter *Filter
 
-	decisions int
-	last      StepInfo
+	last StepInfo
+	// wasted holds each core's cumulative wasted counter as of its last
+	// Sample; log holds every Recorded quantum.
+	wasted map[topo.CoreID]int64
+	log    trace.Log
 }
 
 // StepInfo records the two stages of one quantum's decision: the
@@ -91,11 +100,38 @@ func NewController(est Estimator) *Controller {
 	return &Controller{Est: est, Filter: NewFilter()}
 }
 
+// Sample builds the quantum's snapshot of allotment a at time now (both
+// in the platform's ticks). read fills the reading of one member, whose
+// ID is preset, with WastedCycles as the worker's cumulative counter, and
+// reports false when the core holds no worker of this controller's job.
+// Sample keeps each core's previous counter and stores the quantum's
+// delta in WastedCycles.
+func (c *Controller) Sample(a *topo.Allotment, quantum, now int64, read func(*WorkerSnapshot) bool) *Snapshot {
+	if c.wasted == nil {
+		c.wasted = map[topo.CoreID]int64{}
+	}
+	ws := make(map[topo.CoreID]*WorkerSnapshot, a.Size())
+	for _, id := range a.Members() {
+		w := &WorkerSnapshot{ID: id}
+		if !read(w) {
+			continue
+		}
+		w.WastedCycles, c.wasted[id] = w.WastedCycles-c.wasted[id], w.WastedCycles
+		ws[id] = w
+	}
+	return &Snapshot{
+		Allotment:     a,
+		Class:         topo.Classify(a),
+		Workers:       ws,
+		QuantumCycles: quantum,
+		Time:          now,
+	}
+}
+
 // Step runs one quantum: estimate, filter, and return the worker count to
 // request. Callers must afterwards inform the estimator of the actual grant
-// via Granted.
+// via Record (or Granted, which leaves no log entry).
 func (c *Controller) Step(s *Snapshot) int {
-	c.decisions++
 	desired := c.Est.Estimate(s)
 	c.last.Raw = desired
 	if c.Filter != nil {
@@ -111,5 +147,19 @@ func (c *Controller) Last() StepInfo { return c.last }
 // Granted forwards the grant outcome to the estimator.
 func (c *Controller) Granted(workers int) { c.Est.Granted(workers) }
 
-// Decisions returns the number of quanta processed.
-func (c *Controller) Decisions() int { return c.decisions }
+// Record closes a quantum at time now: it forwards the granted size to
+// the estimator, as Granted does, and appends the quantum's decision to
+// the log.
+func (c *Controller) Record(now int64, granted int) {
+	c.Est.Granted(granted)
+	c.log.Add(trace.Decision{Time: now, Estimator: c.Est.Name(), Desired: c.last.Filtered, Granted: granted})
+}
+
+// Decisions returns the log of Recorded quanta. A nil controller, a run
+// at a fixed allotment, has an empty log.
+func (c *Controller) Decisions() *trace.Log {
+	if c == nil {
+		return &trace.Log{}
+	}
+	return &c.log
+}

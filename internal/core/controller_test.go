@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"palirria/internal/topo"
+	"palirria/internal/trace"
+)
 
 func TestFilterIncreaseImmediate(t *testing.T) {
 	f := NewFilter()
@@ -106,11 +111,60 @@ func TestControllerStepAndGranted(t *testing.T) {
 	if got := c.Step(s12); got != 5 {
 		t.Fatalf("step 3 = %d, want 5", got)
 	}
-	if c.Decisions() != 3 {
-		t.Fatalf("Decisions = %d, want 3", c.Decisions())
+	// Granted informs the estimator but leaves no log entry: the bench
+	// probe calls it in a tight loop.
+	if n := len(c.Decisions().Decisions()); n != 0 {
+		t.Fatalf("Granted logged %d decisions, want 0", n)
 	}
-	if len(est.granted) != 1 || est.granted[0] != 12 {
+	c.Record(300, 5)
+	ds := c.Decisions().Decisions()
+	want := trace.Decision{Time: 300, Estimator: "fake", Desired: 5, Granted: 5}
+	if len(ds) != 1 || ds[0] != want {
+		t.Fatalf("Decisions = %+v, want [%+v]", ds, want)
+	}
+	if len(est.granted) != 2 || est.granted[0] != 12 || est.granted[1] != 5 {
 		t.Fatalf("granted log = %v", est.granted)
+	}
+	// A fixed-allotment run has no controller; reports still get a log.
+	var none *Controller
+	if l := none.Decisions(); l == nil || len(l.Decisions()) != 0 {
+		t.Fatalf("nil controller's log = %v, want empty", l)
+	}
+}
+
+// TestControllerSampleWastedDelta pins the shared snapshot builder: the
+// platform reports cumulative wasted counters, the controller turns them
+// into per-quantum deltas per core, and a core the read callback declines
+// is absent from the snapshot.
+func TestControllerSampleWastedDelta(t *testing.T) {
+	a := snap(t, 1, nil).Allotment
+	skip := a.Members()[0]
+	total := map[topo.CoreID]int64{}
+	read := func(ws *WorkerSnapshot) bool {
+		ws.QueueLen = 1
+		ws.WastedCycles = total[ws.ID]
+		return ws.ID != skip
+	}
+	c := NewController(&fakeEst{script: []int{5}})
+	for _, id := range a.Members() {
+		total[id] = 100
+	}
+	s := c.Sample(a, 50, 1000, read)
+	if s.Allotment != a || s.QuantumCycles != 50 || s.Time != 1000 || s.Class == nil {
+		t.Fatalf("snapshot header = %+v", s)
+	}
+	if len(s.Workers) != a.Size()-1 || s.Workers[skip] != nil {
+		t.Fatalf("declined core %d sampled: %d workers of %d", skip, len(s.Workers), a.Size())
+	}
+	for _, id := range a.Members()[1:] {
+		total[id] += int64(id)
+	}
+	s = c.Sample(a, 50, 1050, read)
+	for _, id := range a.Members()[1:] {
+		ws := s.Workers[id]
+		if ws.ID != id || ws.QueueLen != 1 || ws.WastedCycles != int64(id) {
+			t.Fatalf("core %d: %+v, want wasted delta %d", id, ws, id)
+		}
 	}
 }
 

@@ -24,12 +24,18 @@ type WorkerSnapshot struct {
 	// QueueLen is µ(Q) at the quantum boundary: the number of stealable
 	// tasks in the worker's queue right now.
 	QueueLen int
-	// MaxQueueLen is the high-water mark of µ(Q) during the ending
-	// quantum, maintained for free by the spawn operation ("its
-	// calculation is performed during the spawn and sync operations",
-	// §1). The DMC increase condition reads this mark: it asks whether
-	// work flowed through the worker beyond its threshold at any point,
-	// not whether the sampling instant happened to catch it.
+	// MaxQueueLen is a high-water mark of µ(Q), maintained for free by
+	// the spawn operation ("its calculation is performed during the spawn
+	// and sync operations", §1). The DMC increase condition reads this
+	// mark: it asks whether work flowed through the worker beyond its
+	// threshold at any point, not whether the sampling instant happened
+	// to catch it. The platforms differ in which window the mark covers
+	// (ROADMAP item 15 settles this):
+	//   - the simulator resets it at every boundary, so it covers exactly
+	//     the ending quantum;
+	//   - wsrt resets it lazily, on the worker's first spawn of a quantum
+	//     or when it parks, so a worker that has done neither since its
+	//     last spawn still reports that spawn's mark.
 	MaxQueueLen int
 	// Busy reports that the worker is executing a task at the boundary.
 	// The DMC decrease condition treats a worker as underutilized only
@@ -37,9 +43,13 @@ type WorkerSnapshot struct {
 	// rim worker midway through a long leaf is utilized even though its
 	// queue is empty.
 	Busy bool
-	// WastedCycles is the worker's wasted cycles during the ending quantum
-	// under ASTEAL's definition: searching for work plus conducting
-	// successful steals.
+	// WastedCycles is the worker's wasted effort during the ending
+	// quantum; Controller.Sample turns the platform's cumulative counter
+	// into this delta. The platforms count different things (ROADMAP
+	// item 15 settles this):
+	//   - the simulator uses ASTEAL's definition, cycles spent searching
+	//     for work plus conducting successful steals;
+	//   - wsrt reports nanoseconds of search time plus time parked idle.
 	WastedCycles int64
 	// Draining reports that the worker was removed and is finishing its
 	// remaining queue.

@@ -4,23 +4,26 @@ import "palirria/internal/topo"
 
 // IntrospectedWorker is one worker's state annotated with everything the
 // estimator derived from it: the DVS class and the DMC threshold for
-// Palirria, the wasted-cycle contribution for ASTEAL.
+// Palirria, the wasted-cycle contribution for ASTEAL. The JSON names are
+// the estimator-trace wire format (obs.EstimatorSnapshot).
 type IntrospectedWorker struct {
 	// ID is the worker's core.
-	ID topo.CoreID
+	ID topo.CoreID `json:"worker"`
 	// Class is the DVS region label ("s", "X", "Z", "XZ", "F"); empty for
 	// estimators without a classification.
-	Class string
-	// QueueLen and MaxQueueLen are µ(Q) at the boundary and its quantum
-	// high-water mark.
-	QueueLen, MaxQueueLen int
+	Class string `json:"class,omitempty"`
+	// QueueLen and MaxQueueLen are µ(Q) at the boundary and its
+	// high-water mark (see WorkerSnapshot).
+	QueueLen    int `json:"queue_len"`
+	MaxQueueLen int `json:"max_queue_len"`
 	// ThresholdL is L_i = µ(O_i)+offset for workers the increase
 	// condition inspects (0 otherwise).
-	ThresholdL int
+	ThresholdL int `json:"threshold_l,omitempty"`
 	// Busy and Draining mirror the snapshot flags.
-	Busy, Draining bool
-	// WastedCycles is the quantum's wasted work (ASTEAL's definition).
-	WastedCycles int64
+	Busy     bool `json:"busy"`
+	Draining bool `json:"draining,omitempty"`
+	// WastedCycles is the quantum's wasted work (see WorkerSnapshot).
+	WastedCycles int64 `json:"wasted_cycles"`
 }
 
 // Introspection explains one estimate: the per-worker view the estimator

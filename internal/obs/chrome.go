@@ -152,7 +152,7 @@ func (d *TraceData) WriteChrome(w io.Writer) error {
 		})
 		for _, wi := range s.Workers {
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: fmt.Sprintf("queue w%d", wi.Worker), Phase: "C",
+				Name: fmt.Sprintf("queue w%d", wi.ID), Phase: "C",
 				TS: ts, PID: chromePID,
 				Args: map[string]any{"len": wi.QueueLen, "max": wi.MaxQueueLen},
 			})

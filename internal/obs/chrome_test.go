@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"testing"
+
+	"palirria/internal/core"
+	"palirria/internal/topo"
 )
 
 // decodeChrome parses exporter output back into the generic structure
@@ -63,7 +66,7 @@ func TestWriteChromeBasic(t *testing.T) {
 	tr.RecordSnapshot(EstimatorSnapshot{
 		Time: 200, Estimator: "palirria", Allotment: 5, Decision: "increase",
 		RawDesire: 9, FilteredDesire: 9, Granted: 9,
-		Workers: []WorkerIntrospection{{Worker: 3, Class: "X", QueueLen: 2, MaxQueueLen: 4, ThresholdL: 1}},
+		Workers: []core.IntrospectedWorker{{ID: 3, Class: "X", QueueLen: 2, MaxQueueLen: 4, ThresholdL: 1}},
 	})
 
 	var buf bytes.Buffer
@@ -160,7 +163,7 @@ func FuzzWriteChrome(f *testing.F) {
 				tr.RecordSnapshot(EstimatorSnapshot{
 					Time: ts, Estimator: "palirria", Allotment: int(arg % 64),
 					RawDesire: int(arg % 64), FilteredDesire: int(arg % 32),
-					Workers: []WorkerIntrospection{{Worker: int(worker), QueueLen: int(arg % 8)}},
+					Workers: []core.IntrospectedWorker{{ID: topo.CoreID(worker), QueueLen: int(arg % 8)}},
 				})
 			}
 		}

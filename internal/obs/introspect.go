@@ -3,34 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"io"
-)
 
-// WorkerIntrospection is one worker's state as an estimator saw it at a
-// quantum boundary, including the classification Palirria's Diaspora
-// Malleability Conditions assigned to it.
-type WorkerIntrospection struct {
-	// Worker is the core id.
-	Worker int `json:"worker"`
-	// Class is the DVS region: "X" (boundary increase set), "Z"
-	// (outermost decrease set), "XZ" (both, on minimal allotments), "F"
-	// (inner filling), or "" when the estimator has no classification
-	// (ASTEAL).
-	Class string `json:"class,omitempty"`
-	// QueueLen is µ(Q) at the boundary; MaxQueueLen its high-water mark
-	// over the ending quantum.
-	QueueLen    int `json:"queue_len"`
-	MaxQueueLen int `json:"max_queue_len"`
-	// ThresholdL is the DMC threshold L_i = µ(O_i)+offset for X workers
-	// (0 otherwise).
-	ThresholdL int `json:"threshold_l,omitempty"`
-	// Busy reports a task in execution at the boundary; Draining a
-	// removed worker finishing its queue.
-	Busy     bool `json:"busy"`
-	Draining bool `json:"draining,omitempty"`
-	// WastedCycles is the quantum's wasted work under ASTEAL's definition
-	// (probing, backoff, successful-steal transfer).
-	WastedCycles int64 `json:"wasted_cycles"`
-}
+	"palirria/internal/core"
+)
 
 // EstimatorSnapshot is one quantum's complete estimation record: what the
 // estimator saw, what it concluded, and what the system granted.
@@ -53,12 +28,38 @@ type EstimatorSnapshot struct {
 	// for the next quantum.
 	Granted int `json:"granted"`
 	// Workers is the per-worker view (DMC inputs, classes, thresholds).
-	Workers []WorkerIntrospection `json:"workers,omitempty"`
+	Workers []core.IntrospectedWorker `json:"workers,omitempty"`
 	// Inputs carries estimator-specific scalar inputs: ASTEAL records
 	// wasted/total cycles, its efficiency and satisfaction verdicts
 	// (0/1), and the real-valued desire; Palirria records the X and Z
 	// set sizes it inspected.
 	Inputs map[string]float64 `json:"inputs,omitempty"`
+}
+
+// Explain builds the introspection record of the quantum c just stepped
+// over snap, given the size the system granted: the raw and filtered
+// desire, plus the estimator's annotated view when it implements
+// core.Introspector. Both platforms call it; the simulator also labels
+// the record's Job.
+func Explain(c *core.Controller, snap *core.Snapshot, granted int) EstimatorSnapshot {
+	info := c.Last()
+	prev := snap.Allotment.Size()
+	es := EstimatorSnapshot{
+		Time:           snap.Time,
+		Estimator:      c.Est.Name(),
+		Allotment:      prev,
+		Decision:       core.DecisionOf(prev, info.Raw).String(),
+		RawDesire:      info.Raw,
+		FilteredDesire: info.Filtered,
+		Granted:        granted,
+	}
+	if ip, ok := c.Est.(core.Introspector); ok {
+		in := ip.Introspect(snap)
+		es.Decision = in.Decision.String()
+		es.Inputs = in.Inputs
+		es.Workers = in.Workers
+	}
+	return es
 }
 
 // WriteSnapshotsJSON dumps estimator snapshots as an indented JSON array

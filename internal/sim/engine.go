@@ -299,9 +299,19 @@ type jobState struct {
 	finished bool
 	finishAt int64
 
-	timeline   trace.Timeline
-	decisions  trace.Log
-	lastWasted map[topo.CoreID]int64
+	timeline trace.Timeline
+}
+
+// newController wraps est for one job; nil when the job has no estimator.
+func newController(est core.Estimator, noFilter bool) *core.Controller {
+	if est == nil {
+		return nil
+	}
+	c := core.NewController(est)
+	if noFilter {
+		c.Filter = nil
+	}
+	return c
 }
 
 // engine runs one simulation (one or many jobs).
@@ -371,7 +381,7 @@ func Run(cfg Config) (*Result, error) {
 		ExecCycles:     j.finishAt,
 		Workers:        e.workerStats(),
 		Timeline:       &j.timeline,
-		Decisions:      &j.decisions,
+		Decisions:      j.ctrl.Decisions(),
 		FinalAllotment: j.granted,
 		Events:         e.eventCount,
 	}
@@ -420,12 +430,7 @@ func setup(cfg Config) (*engine, error) {
 		source: cfg.Source,
 		policy: cfg.Policy,
 		mgr:    mgr,
-	}
-	if cfg.Estimator != nil {
-		j.ctrl = core.NewController(cfg.Estimator)
-		if cfg.NoFilter {
-			j.ctrl.Filter = nil
-		}
+		ctrl:   newController(cfg.Estimator, cfg.NoFilter),
 	}
 	e.addJob(j, cfg.Root, mgr.Current())
 	return e, nil
@@ -461,7 +466,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 			StartCycles:  j.startAt,
 			FinishCycles: j.finishAt,
 			Timeline:     &j.timeline,
-			Decisions:    &j.decisions,
+			Decisions:    j.ctrl.Decisions(),
 		})
 		if j.finishAt > out.MakespanCycles {
 			out.MakespanCycles = j.finishAt
@@ -515,12 +520,7 @@ func setupMulti(cfg MultiConfig) (*engine, error) {
 			policy: jc.Policy,
 			fixed:  jc.FixedWorkers,
 			app:    app,
-		}
-		if jc.Estimator != nil {
-			j.ctrl = core.NewController(jc.Estimator)
-			if cfg.NoFilter {
-				j.ctrl.Filter = nil
-			}
+			ctrl:   newController(jc.Estimator, cfg.NoFilter),
 		}
 		e.addJob(j, jc.Root, app.Allotment())
 	}
@@ -581,7 +581,6 @@ func newEngine(p engineParams) (*engine, error) {
 // addJob installs a job with its initial allotment and bootstraps workers.
 func (e *engine) addJob(j *jobState, root *task.Spec, granted *topo.Allotment) {
 	j.granted = granted
-	j.lastWasted = map[topo.CoreID]int64{}
 	j.rootFrame = e.newFrame(root, j.source, nil)
 	j.rootFrame.isRoot = true
 	j.started = true
@@ -727,7 +726,9 @@ func (e *engine) quantumTick() {
 		desired := j.granted.Size()
 		var snap *core.Snapshot
 		if j.ctrl != nil {
-			snap = e.snapshot(j)
+			snap = j.ctrl.Sample(j.granted, e.quantum, e.now, func(ws *core.WorkerSnapshot) bool {
+				return e.readWorker(j, ws)
+			})
 			desired = j.ctrl.Step(snap)
 		} else if j.fixed > 0 {
 			desired = j.fixed
@@ -742,20 +743,16 @@ func (e *engine) quantumTick() {
 			next, changed = j.mgr.Grant(desired)
 		}
 		if j.ctrl != nil {
-			j.ctrl.Granted(next.Size())
-			j.decisions.Add(trace.Decision{
-				Time:      e.now,
-				Estimator: j.ctrl.Est.Name(),
-				Desired:   desired,
-				Granted:   next.Size(),
-			})
+			j.ctrl.Record(e.now, next.Size())
 			e.trace(obs.KindQuantum, j.source, topo.NoCore, desired, j.name)
 			// Every quantum, even unchanged: the ring keeps only the newest
 			// events, so the Chrome allotment counter needs samples inside
 			// whatever window survives a long run.
 			e.trace(obs.KindGrant, j.source, topo.NoCore, next.Size(), j.name)
 			if e.introspect {
-				e.tracer.RecordSnapshot(e.estimatorSnapshot(j, snap, prev.Size(), next.Size()))
+				es := obs.Explain(j.ctrl, snap, next.Size())
+				es.Job = j.name
+				e.tracer.RecordSnapshot(es)
 			}
 		}
 		if !changed {
@@ -809,77 +806,22 @@ func (e *engine) applyGrant(j *jobState, prev, next *topo.Allotment) {
 	e.trace(obs.KindGrant, j.source, topo.NoCore, j.granted.Size(), j.name)
 }
 
-// snapshot builds the estimator's view of job j at the current boundary.
-func (e *engine) snapshot(j *jobState) *core.Snapshot {
-	class := topo.Classify(j.granted)
-	ws := make(map[topo.CoreID]*core.WorkerSnapshot, j.granted.Size())
-	for _, id := range j.granted.Members() {
-		w := e.workers[id]
-		if w == nil || w.job != j {
-			continue
-		}
-		total := w.stats.AStealWasted()
-		delta := total - j.lastWasted[id]
-		j.lastWasted[id] = total
-		maxQ := w.maxQueueLen
-		if cur := w.queue.StealableLen(); cur > maxQ {
-			maxQ = cur
-		}
-		w.maxQueueLen = 0
-		ws[id] = &core.WorkerSnapshot{
-			ID:           id,
-			QueueLen:     w.queue.StealableLen(),
-			MaxQueueLen:  maxQ,
-			Busy:         !w.retired && len(w.stack) > 0,
-			WastedCycles: delta,
-			Draining:     w.draining,
-		}
+// readWorker fills one member's reading for job j's quantum sample;
+// false when the core holds no worker of j. The simulator samples the
+// stealable queue and resets the high-water mark eagerly, so the next
+// quantum's mark starts from zero.
+func (e *engine) readWorker(j *jobState, ws *core.WorkerSnapshot) bool {
+	w := e.workers[ws.ID]
+	if w == nil || w.job != j {
+		return false
 	}
-	return &core.Snapshot{
-		Allotment:     j.granted,
-		Class:         class,
-		Workers:       ws,
-		QuantumCycles: e.quantum,
-		Time:          e.now,
-	}
-}
-
-// estimatorSnapshot builds the per-quantum introspection record for job j:
-// the controller's raw and filtered desire plus, when the estimator
-// implements core.Introspector, its annotated per-worker view and scalar
-// inputs.
-func (e *engine) estimatorSnapshot(j *jobState, snap *core.Snapshot, prevSize, granted int) obs.EstimatorSnapshot {
-	info := j.ctrl.Last()
-	es := obs.EstimatorSnapshot{
-		Time:           e.now,
-		Job:            j.name,
-		Estimator:      j.ctrl.Est.Name(),
-		Allotment:      prevSize,
-		Decision:       core.DecisionOf(prevSize, info.Raw).String(),
-		RawDesire:      info.Raw,
-		FilteredDesire: info.Filtered,
-		Granted:        granted,
-	}
-	ip, ok := j.ctrl.Est.(core.Introspector)
-	if !ok {
-		return es
-	}
-	in := ip.Introspect(snap)
-	es.Decision = in.Decision.String()
-	es.Inputs = in.Inputs
-	for _, iw := range in.Workers {
-		es.Workers = append(es.Workers, obs.WorkerIntrospection{
-			Worker:       int(iw.ID),
-			Class:        iw.Class,
-			QueueLen:     iw.QueueLen,
-			MaxQueueLen:  iw.MaxQueueLen,
-			ThresholdL:   iw.ThresholdL,
-			Busy:         iw.Busy,
-			Draining:     iw.Draining,
-			WastedCycles: iw.WastedCycles,
-		})
-	}
-	return es
+	ws.QueueLen = w.queue.StealableLen()
+	ws.MaxQueueLen = max(w.maxQueueLen, ws.QueueLen)
+	w.maxQueueLen = 0
+	ws.Busy = !w.retired && len(w.stack) > 0
+	ws.WastedCycles = w.stats.AStealWasted()
+	ws.Draining = w.draining
+	return true
 }
 
 // finishJob records job completion and releases its resources.

@@ -11,11 +11,13 @@ import (
 )
 
 // TestIdleWorkersParkInValley pins the tentpole behaviour: an idle
-// persistent runtime parks its workers instead of busy-polling. Over a
-// 20ms valley the workers must actually block (parks advance) and the
-// search time burned across the whole allotment must be a small fraction
-// of the window — the seed's backoff loop accumulated search time linear
-// in the valley length on every idle worker.
+// persistent runtime parks its workers instead of busy-polling. It counts
+// events rather than reading the clock, so a loaded host cannot fail it.
+// This runtime has no estimator, so nothing wakes a parked worker: over
+// the valley no wake token may be delivered, and each worker may at most
+// finish the one pre-park spin budget (idleSpins failed sweeps of its
+// victim list) it was in when the valley began. A worker that polls
+// instead of parking keeps sweeping and overruns that bound.
 func TestIdleWorkersParkInValley(t *testing.T) {
 	rt, err := New(Config{Mesh: topo.MustMesh(4, 2), Source: 0, InitialDiaspora: 10})
 	if err != nil {
@@ -31,27 +33,29 @@ func TestIdleWorkersParkInValley(t *testing.T) {
 		}
 		c.SyncAll()
 	})
-	time.Sleep(2 * time.Millisecond) // drain the post-job spin budget
-	searchSum := func() int64 {
-		var s int64
+	failedProbes := func() int64 {
+		var n int64
 		for _, w := range rt.workerList {
-			s += atomic.LoadInt64(&w.stats.SearchNS)
+			n += atomic.LoadInt64(&w.stats.FailedProbes)
 		}
-		return s
+		return n
 	}
-	s0 := searchSum()
-	const valley = 20 * time.Millisecond
-	time.Sleep(valley)
-	ds := searchSum() - s0
+	var budget int64
+	policy := rt.loadPolicy().policy
+	for _, w := range rt.workerList {
+		budget += int64(idleSpins * len(policy.VictimsInto(w.id, nil)))
+	}
+	p0, w0 := failedProbes(), rt.wakeups.Load()
+	time.Sleep(20 * time.Millisecond)
 	if rt.parks.Load() == 0 {
 		t.Fatal("no worker ever parked — idle path is not event-driven")
 	}
-	// 8 workers × 20ms = 160ms of worker-time in the valley. Allow 10% of
-	// one worker's window for straggler spins; busy-polling would burn
-	// orders of magnitude more.
-	if budget := int64(valley) / 10; ds > budget {
-		t.Fatalf("idle valley burned %s of search time (budget %s) — workers are polling, not parking",
-			time.Duration(ds), time.Duration(budget))
+	if w := rt.wakeups.Load(); w != w0 {
+		t.Fatalf("%d wake tokens delivered in a valley with no work", w-w0)
+	}
+	if dp := failedProbes() - p0; dp > budget {
+		t.Fatalf("idle valley made %d failed probes (one pre-park budget per worker: %d) — workers are polling, not parking",
+			dp, budget)
 	}
 	if _, err := rt.Shutdown(); err != nil {
 		t.Fatal(err)

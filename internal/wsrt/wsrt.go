@@ -221,10 +221,9 @@ type Runtime struct {
 
 	gate gate
 
-	timeline  trace.Timeline
-	decisions trace.Log
-	tlMu      sync.Mutex
-	startNS   int64
+	timeline trace.Timeline
+	tlMu     sync.Mutex
+	startNS  int64
 
 	// helperRing carries the helper goroutine's grant/quantum events;
 	// allotSize and quanta back the live metrics gauges.
@@ -555,7 +554,7 @@ func (r *Runtime) buildReport(wall int64) *Report {
 		WallNS:    wall,
 		Workers:   map[topo.CoreID]*WorkerReport{},
 		Timeline:  &r.timeline,
-		Decisions: &r.decisions,
+		Decisions: r.ctrl.Decisions(),
 	}
 	r.tlMu.Lock()
 	rep.MaxWorkers = r.timeline.Max()

@@ -41,6 +41,7 @@ import (
 
 	"palirria/internal/asteal"
 	"palirria/internal/core"
+	"palirria/internal/experiments"
 	"palirria/internal/metrics"
 	"palirria/internal/obs"
 	"palirria/internal/plot"
@@ -186,14 +187,23 @@ func WorkloadRoot(name, platform string) (*TaskSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch platform {
-	case "", "sim32":
-		return d.Root(workload.Simulator), nil
-	case "numa48":
-		return d.Root(workload.NUMA), nil
-	default:
-		return nil, fmt.Errorf("palirria: unknown platform %q (sim32, numa48)", platform)
+	p, err := platformOf(platform)
+	if err != nil {
+		return nil, err
 	}
+	return d.Root(p.WL), nil
+}
+
+// platformOf resolves a facade platform name to the evaluation platform
+// the paper's figures run on.
+func platformOf(name string) (experiments.Platform, error) {
+	switch name {
+	case "", "sim32":
+		return experiments.SimPlatform(), nil
+	case "numa48":
+		return experiments.LinuxPlatform(), nil
+	}
+	return experiments.Platform{}, fmt.Errorf("palirria: unknown platform %q (sim32, numa48)", name)
 }
 
 // SimRun executes a fully custom simulator configuration.
@@ -401,24 +411,9 @@ type Report struct {
 
 // RunSim executes the high-level configuration on the simulator.
 func RunSim(cfg SimConfig) (*Report, error) {
-	var mesh *Mesh
-	var source CoreID
-	var maxD int
-	var machine sim.MachineModel
-	var wp workload.Platform
-	switch cfg.Platform {
-	case "", "sim32":
-		mesh = topo.MustMesh(8, 4)
-		mesh.Reserve(0, 1)
-		source, maxD, wp = 20, 4, workload.Simulator
-		machine = sim.Ideal{}
-	case "numa48":
-		mesh = topo.MustMesh(8, 6)
-		mesh.Reserve(0, 1, 2)
-		source, maxD, wp = 28, 6, workload.NUMA
-		machine = sim.NewNUMA(mesh)
-	default:
-		return nil, fmt.Errorf("palirria: unknown platform %q (sim32, numa48)", cfg.Platform)
+	p, err := platformOf(cfg.Platform)
+	if err != nil {
+		return nil, err
 	}
 	root := cfg.Root
 	if root == nil {
@@ -426,13 +421,16 @@ func RunSim(cfg SimConfig) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		root = d.Root(wp)
+		root = d.Root(p.WL)
 	}
+	mesh, source, maxD := p.Mesh(), p.Source, p.MaxDiaspora
+	// The platform's own Seed and Quantum are the figures' settings; the
+	// facade keeps SimConfig's.
 	rc := sim.Config{
 		Mesh:        mesh,
 		Source:      source,
 		Root:        root,
-		Machine:     machine,
+		Machine:     p.Machine(mesh),
 		MaxDiaspora: maxD,
 		Quantum:     cfg.Quantum,
 		Seed:        cfg.Seed,
