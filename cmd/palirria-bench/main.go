@@ -114,13 +114,13 @@ func run(out io.Writer, fig int, summary, ablations, multiprog, all bool, nseeds
 	simP, linuxP := experiments.SimPlatform(), experiments.LinuxPlatform()
 	if needSim {
 		fmt.Fprintf(out, "running simulator-platform suite (7 workloads x 6 configs x %d seed(s))...\n", max(1, nseeds))
-		if simSuite, err = experiments.RunSuiteSeeds(simP, seeds); err != nil {
+		if simSuite, err = experiments.RunSuite(simP, seeds); err != nil {
 			return err
 		}
 	}
 	if needLinux {
 		fmt.Fprintf(out, "running Linux-model suite (7 workloads x 8 configs x %d seed(s))...\n", max(1, nseeds))
-		if linuxSuite, err = experiments.RunSuiteSeeds(linuxP, seeds); err != nil {
+		if linuxSuite, err = experiments.RunSuite(linuxP, seeds); err != nil {
 			return err
 		}
 	}
@@ -181,41 +181,39 @@ func run(out io.Writer, fig int, summary, ablations, multiprog, all bool, nseeds
 	}
 	if all || ablations {
 		fmt.Fprintln(out, "\n================ Ablations ================")
-		rows, err := experiments.AblationQuantum(simP, "bursty", []int64{5000, 20000, 50000, 200000, 800000})
-		if err != nil {
-			return err
+		ablations := []struct {
+			title string
+			run   func() ([]experiments.AblationRow, error)
+		}{
+			{"Quantum length (palirria, bursty workload)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationQuantum(simP, "bursty", []int64{5000, 20000, 50000, 200000, 800000})
+			}},
+			{"Threshold L = µ(O)+offset (palirria, fft workload)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationL(simP, "fft", []int{-1, 0, 1, 2})
+			}},
+			{"Victim selection at fixed 27 workers (fib workload)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationVictim(simP, "fib")
+			}},
+			{"False-positive filter (palirria, bursty workload)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationFilter(simP, "bursty")
+			}},
+			{"Stealable queue slots (palirria, stress workload)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationStealableSlots(simP, "stress", []int{1, 2, 4, 16, 64})
+			}},
+			{"Palirria requires DVS (bursty workload; random victims are invalid per §3.2)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationPalirriaNeedsDVS(simP, "bursty")
+			}},
+			{"Estimator families (strassen workload)", func() ([]experiments.AblationRow, error) {
+				return experiments.AblationEstimators(simP, "strassen")
+			}},
 		}
-		experiments.PrintAblation(out, "Quantum length (palirria, bursty workload)", rows)
-		rows, err = experiments.AblationL(simP, "fft", []int{-1, 0, 1, 2})
-		if err != nil {
-			return err
+		for _, a := range ablations {
+			rows, err := a.run()
+			if err != nil {
+				return err
+			}
+			experiments.PrintAblation(out, a.title, rows)
 		}
-		experiments.PrintAblation(out, "Threshold L = µ(O)+offset (palirria, fft workload)", rows)
-		rows, err = experiments.AblationVictim(simP, "fib")
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(out, "Victim selection at fixed 27 workers (fib workload)", rows)
-		rows, err = experiments.AblationFilter(simP, "bursty")
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(out, "False-positive filter (palirria, bursty workload)", rows)
-		rows, err = experiments.AblationStealableSlots(simP, "stress", []int{1, 2, 4, 16, 64})
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(out, "Stealable queue slots (palirria, stress workload)", rows)
-		rows, err = experiments.AblationPalirriaNeedsDVS(simP, "bursty")
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(out, "Palirria requires DVS (bursty workload; random victims are invalid per §3.2)", rows)
-		rows, err = experiments.AblationEstimators(simP, "strassen")
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(out, "Estimator families (strassen workload)", rows)
 		orows, err := experiments.EstimatorOverhead(simP)
 		if err != nil {
 			return err

@@ -26,11 +26,26 @@ func TestExecuteModes(t *testing.T) {
 	if _, err := Execute(p, "fib", ModeWOOL, 500); err == nil {
 		t.Fatal("unsatisfiable fixed size must fail")
 	}
+	// WOOL with no size runs the platform's largest fixed size.
+	for _, p := range []Platform{SimPlatform(), LinuxPlatform()} {
+		r, err := Execute(p, "skew", ModeWOOL, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if want := p.FixedSizes[len(p.FixedSizes)-1]; r.Report.MaxWorkers != want {
+			t.Fatalf("%s: WOOL default peaks at %d workers, want %d", p.Name, r.Report.MaxWorkers, want)
+		}
+	}
+	// A size the mesh holds but the platform caps is refused by name.
+	_, err := Execute(p, "strassen", ModeWOOL, 28)
+	if err == nil || !strings.Contains(err.Error(), "cap of 27 workers") {
+		t.Fatalf("28 workers on %s: err = %v, want the platform-cap error", p.Name, err)
+	}
 }
 
 func TestRunWorkloadNormalization(t *testing.T) {
 	p := SimPlatform()
-	wr, err := RunWorkload(p, "strassen")
+	wr, err := RunWorkload(p, "strassen", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +108,7 @@ func TestSuiteAndSummaryShape(t *testing.T) {
 	// One-workload mini-suite keeps the test fast while exercising the
 	// whole pipeline including figure rendering.
 	p := SimPlatform()
-	wr, err := RunWorkload(p, "strassen")
+	wr, err := RunWorkload(p, "strassen", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +267,15 @@ func TestAblationEstimators(t *testing.T) {
 
 func TestRunWorkloadSeedsSecondBest(t *testing.T) {
 	p := SimPlatform()
-	wr, err := RunWorkloadSeeds(p, "strassen", []uint64{1, 2, 3})
+	wr, err := RunWorkload(p, "strassen", []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wr.Fixed[0].NormExec != 100 {
 		t.Fatalf("base norm = %v", wr.Fixed[0].NormExec)
 	}
-	// Single seed behaves like RunWorkload.
-	one, err := RunWorkloadSeeds(p, "strassen", nil)
+	// No seeds runs one sweep under p.Seed.
+	one, err := RunWorkload(p, "strassen", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,21 +259,33 @@ type AblationRow struct {
 	Changes    int
 }
 
-// AblationQuantum sweeps the estimation interval (§3: "a long interval
-// will miss important fluctuations... a short interval might create
-// unnecessary overhead and confuse short bursts as prolonged behavior").
-// The bursty workload exposes both failure modes.
-func AblationQuantum(p Platform, wl string, quanta []int64) ([]AblationRow, error) {
+// variant is one row of an ablation: a label and the single change it
+// makes to the base configuration.
+type variant struct {
+	label string
+	set   func(*sim.Config)
+}
+
+// ablate runs one row per variant over workload wl: the platform's
+// configuration for mode, with the variant's change applied.
+func ablate(p Platform, wl string, mode Mode, variants []variant) ([]AblationRow, error) {
+	d, err := workload.Get(wl)
+	if err != nil {
+		return nil, err
+	}
 	var out []AblationRow
-	for _, q := range quanta {
-		pq := p
-		pq.Quantum = q
-		r, err := Execute(pq, wl, ModePalirria, 0)
+	for _, v := range variants {
+		cfg, err := p.Config(d.Root(p.WL), mode, 0)
+		if err != nil {
+			return nil, err
+		}
+		v.set(&cfg)
+		r, err := RunConfig(cfg)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, AblationRow{
-			Label:      fmt.Sprintf("quantum=%d", q),
+			Label:      v.label,
 			ExecCycles: r.Result.ExecCycles,
 			WastePct:   r.WastePct,
 			AvgWorkers: r.AvgWorkers,
@@ -283,87 +295,49 @@ func AblationQuantum(p Platform, wl string, quanta []int64) ([]AblationRow, erro
 	return out, nil
 }
 
+// AblationQuantum sweeps the estimation interval (§3: "a long interval
+// will miss important fluctuations... a short interval might create
+// unnecessary overhead and confuse short bursts as prolonged behavior").
+// The bursty workload exposes both failure modes.
+func AblationQuantum(p Platform, wl string, quanta []int64) ([]AblationRow, error) {
+	var vs []variant
+	for _, q := range quanta {
+		vs = append(vs, variant{fmt.Sprintf("quantum=%d", q), func(c *sim.Config) { c.Quantum = q }})
+	}
+	return ablate(p, wl, ModePalirria, vs)
+}
+
 // AblationL sweeps the threshold offset: L = µ(O_i) + offset (§4.1.1:
 // different values of L "can tune the tolerance of the model").
 func AblationL(p Platform, wl string, offsets []int) ([]AblationRow, error) {
-	var out []AblationRow
+	var vs []variant
 	for _, off := range offsets {
-		d, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		mesh := p.Mesh()
-		est := core.NewPalirria()
-		est.LOffset = off
-		res, err := simRunAdaptive(p, mesh, d, est, "dvs", false)
-		if err != nil {
-			return nil, err
-		}
-		rep := res.Report()
-		out = append(out, AblationRow{
-			Label:      fmt.Sprintf("L=µ(O)%+d", off),
-			ExecCycles: res.ExecCycles,
-			WastePct:   rep.WastefulnessPercent(),
-			AvgWorkers: avgWorkers(res),
-			Changes:    res.Decisions.Changes(),
-		})
+		vs = append(vs, variant{fmt.Sprintf("L=µ(O)%+d", off), func(c *sim.Config) {
+			est := core.NewPalirria()
+			est.LOffset = off
+			c.Estimator = est
+		}})
 	}
-	return out, nil
+	return ablate(p, wl, ModePalirria, vs)
 }
 
 // AblationVictim compares victim selection policies under a fixed maximal
 // allotment: the cost/benefit of determinism in isolation.
 func AblationVictim(p Platform, wl string) ([]AblationRow, error) {
-	var out []AblationRow
+	var vs []variant
 	for _, policy := range []string{"random", "roundrobin", "dvs"} {
-		d, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		mesh := p.Mesh()
-		res, err := simRunFixed(p, mesh, d, policy, p.MaxDiaspora)
-		if err != nil {
-			return nil, err
-		}
-		rep := res.Report()
-		out = append(out, AblationRow{
-			Label:      policy,
-			ExecCycles: res.ExecCycles,
-			WastePct:   rep.WastefulnessPercent(),
-			AvgWorkers: avgWorkers(res),
-		})
+		vs = append(vs, variant{policy, func(c *sim.Config) { c.Policy = policy }})
 	}
-	return out, nil
+	return ablate(p, wl, ModeWOOL, vs)
 }
 
 // AblationFilter compares Palirria with and without the system-level
 // false-positive filter.
 func AblationFilter(p Platform, wl string) ([]AblationRow, error) {
-	var out []AblationRow
-	for _, noFilter := range []bool{false, true} {
-		d, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		mesh := p.Mesh()
-		res, err := simRunAdaptive(p, mesh, d, core.NewPalirria(), "dvs", noFilter)
-		if err != nil {
-			return nil, err
-		}
-		label := "filter=on"
-		if noFilter {
-			label = "filter=off"
-		}
-		rep := res.Report()
-		out = append(out, AblationRow{
-			Label:      label,
-			ExecCycles: res.ExecCycles,
-			WastePct:   rep.WastefulnessPercent(),
-			AvgWorkers: avgWorkers(res),
-			Changes:    res.Decisions.Changes(),
-		})
-	}
-	return out, nil
+	return ablate(p, wl, ModePalirria, []variant{
+		{"filter=on", func(c *sim.Config) { c.NoFilter = false }},
+		{"filter=off", func(c *sim.Config) { c.NoFilter = true }},
+	})
 }
 
 // OverheadRow compares the estimators' per-decision cost (paper §3.2:
@@ -437,39 +411,11 @@ func PrintOverhead(w io.Writer, p Platform, rows []OverheadRow) {
 // largest number of workers"). Too few slots cap µ(Q) below Palirria's
 // thresholds and starve thieves; beyond sufficiency the value is inert.
 func AblationStealableSlots(p Platform, wl string, slots []int) ([]AblationRow, error) {
-	var out []AblationRow
+	var vs []variant
 	for _, n := range slots {
-		d, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		mesh := p.Mesh()
-		res, err := sim.Run(sim.Config{
-			Mesh:            mesh,
-			Source:          p.Source,
-			Root:            d.Root(p.WL),
-			Machine:         p.Machine(mesh),
-			InitialDiaspora: 1,
-			MaxDiaspora:     p.MaxDiaspora,
-			Policy:          "dvs",
-			Seed:            p.Seed,
-			Quantum:         p.Quantum,
-			Estimator:       core.NewPalirria(),
-			StealableSlots:  n,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := res.Report()
-		out = append(out, AblationRow{
-			Label:      fmt.Sprintf("slots=%d", n),
-			ExecCycles: res.ExecCycles,
-			WastePct:   rep.WastefulnessPercent(),
-			AvgWorkers: avgWorkers(res),
-			Changes:    res.Decisions.Changes(),
-		})
+		vs = append(vs, variant{fmt.Sprintf("slots=%d", n), func(c *sim.Config) { c.StealableSlots = n }})
 	}
-	return out, nil
+	return ablate(p, wl, ModePalirria, vs)
 }
 
 // AblationPalirriaNeedsDVS tests the paper's §3.2 requirement: "Palirria
@@ -479,27 +425,11 @@ func AblationStealableSlots(p Platform, wl string, slots []int) ([]AblationRow, 
 // The rows compare Palirria over DVS against the (invalid) Palirria over
 // random victims, on a fluctuating workload where accuracy matters.
 func AblationPalirriaNeedsDVS(p Platform, wl string) ([]AblationRow, error) {
-	var out []AblationRow
+	var vs []variant
 	for _, policy := range []string{"dvs", "random"} {
-		d, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		mesh := p.Mesh()
-		res, err := simRunAdaptive(p, mesh, d, core.NewPalirria(), policy, false)
-		if err != nil {
-			return nil, err
-		}
-		rep := res.Report()
-		out = append(out, AblationRow{
-			Label:      "palirria+" + policy,
-			ExecCycles: res.ExecCycles,
-			WastePct:   rep.WastefulnessPercent(),
-			AvgWorkers: avgWorkers(res),
-			Changes:    res.Decisions.Changes(),
-		})
+		vs = append(vs, variant{"palirria+" + policy, func(c *sim.Config) { c.Policy = policy }})
 	}
-	return out, nil
+	return ablate(p, wl, ModePalirria, vs)
 }
 
 // AblationEstimators compares the three estimator families on one
@@ -507,38 +437,12 @@ func AblationPalirriaNeedsDVS(p Platform, wl string) ([]AblationRow, error) {
 // cycles, any victim policy) and SAWS (sampled queue sizes, any victim
 // policy — Cao et al., the paper's §7).
 func AblationEstimators(p Platform, wl string) ([]AblationRow, error) {
-	type combo struct {
-		label  string
-		est    func() core.Estimator
-		policy string
-	}
-	combos := []combo{
-		{"palirria+dvs", func() core.Estimator { return core.NewPalirria() }, "dvs"},
-		{"asteal+random", func() core.Estimator { return asteal.New() }, "random"},
-		{"saws+random", func() core.Estimator { return saws.New(p.Seed) }, "random"},
-		{"saws+dvs", func() core.Estimator { return saws.New(p.Seed) }, "dvs"},
-	}
-	var out []AblationRow
-	for _, c := range combos {
-		d, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		mesh := p.Mesh()
-		res, err := simRunAdaptive(p, mesh, d, c.est(), c.policy, false)
-		if err != nil {
-			return nil, err
-		}
-		rep := res.Report()
-		out = append(out, AblationRow{
-			Label:      c.label,
-			ExecCycles: res.ExecCycles,
-			WastePct:   rep.WastefulnessPercent(),
-			AvgWorkers: avgWorkers(res),
-			Changes:    res.Decisions.Changes(),
-		})
-	}
-	return out, nil
+	return ablate(p, wl, ModePalirria, []variant{
+		{"palirria+dvs", func(c *sim.Config) { c.Estimator, c.Policy = core.NewPalirria(), "dvs" }},
+		{"asteal+random", func(c *sim.Config) { c.Estimator, c.Policy = asteal.New(), "random" }},
+		{"saws+random", func(c *sim.Config) { c.Estimator, c.Policy = saws.New(p.Seed), "random" }},
+		{"saws+dvs", func(c *sim.Config) { c.Estimator, c.Policy = saws.New(p.Seed), "dvs" }},
+	})
 }
 
 // PrintAblation renders an ablation table.
@@ -548,11 +452,4 @@ func PrintAblation(w io.Writer, title string, rows []AblationRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-16s %14d %8.1f%% %8.1f %8d\n", r.Label, r.ExecCycles, r.WastePct, r.AvgWorkers, r.Changes)
 	}
-}
-
-func avgWorkers(res *simResult) float64 {
-	if res.ExecCycles <= 0 {
-		return 0
-	}
-	return float64(res.Timeline.Area(res.ExecCycles)) / float64(res.ExecCycles)
 }

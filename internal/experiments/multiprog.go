@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"palirria/internal/asteal"
-	"palirria/internal/core"
 	"palirria/internal/sim"
 	"palirria/internal/topo"
 	"palirria/internal/workload"
@@ -46,7 +44,7 @@ func Multiprogrammed(quantum int64) ([]MultiprogResult, error) {
 		{"parallel", "stress", topo.Coord{X: 6, Y: 2}},
 		{"phases", "sort", topo.Coord{X: 4, Y: 6}},
 	}
-	build := func(mode string) (sim.MultiConfig, error) {
+	build := func(mode Mode) (sim.MultiConfig, error) {
 		m := mesh()
 		cfg := sim.MultiConfig{Mesh: m, Quantum: quantum, Seed: 9}
 		for _, jd := range jobs {
@@ -54,21 +52,19 @@ func Multiprogrammed(quantum int64) ([]MultiprogResult, error) {
 			if err != nil {
 				return cfg, err
 			}
-			j := sim.Job{
-				Name:   jd.name,
-				Source: m.ID(jd.src),
-				Root:   d.Root(workload.Simulator),
+			policy, est, err := mode.scheduler()
+			if err != nil {
+				return cfg, err
 			}
-			switch mode {
-			case "palirria":
-				j.Estimator = core.NewPalirria()
-				j.Policy = "dvs"
-			case "asteal":
-				j.Estimator = asteal.New()
-				j.Policy = "random"
-			default: // fixed: equal split of the 79 usable cores
-				j.FixedWorkers = 26
-				j.Policy = "random"
+			j := sim.Job{
+				Name:      jd.name,
+				Source:    m.ID(jd.src),
+				Root:      d.Root(workload.Simulator),
+				Policy:    policy,
+				Estimator: est,
+			}
+			if est == nil {
+				j.FixedWorkers = 26 // equal split of the 79 usable cores
 			}
 			cfg.Jobs = append(cfg.Jobs, j)
 		}
@@ -76,17 +72,20 @@ func Multiprogrammed(quantum int64) ([]MultiprogResult, error) {
 	}
 
 	var out []MultiprogResult
-	for _, mode := range []string{"fixed", "asteal", "palirria"} {
-		cfg, err := build(mode)
+	for _, run := range []struct {
+		label string
+		mode  Mode
+	}{{"fixed", ModeWOOL}, {"asteal", ModeASteal}, {"palirria", ModePalirria}} {
+		cfg, err := build(run.mode)
 		if err != nil {
 			return nil, err
 		}
 		res, err := sim.RunMulti(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("multiprog %s: %w", mode, err)
+			return nil, fmt.Errorf("multiprog %s: %w", run.label, err)
 		}
 		mr := MultiprogResult{
-			Label:          mode,
+			Label:          run.label,
 			MakespanCycles: res.MakespanCycles,
 			JobExec:        map[string]int64{},
 		}

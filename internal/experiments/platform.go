@@ -6,11 +6,13 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"palirria/internal/asteal"
 	"palirria/internal/core"
 	"palirria/internal/metrics"
 	"palirria/internal/sim"
+	"palirria/internal/task"
 	"palirria/internal/topo"
 	"palirria/internal/workload"
 )
@@ -104,8 +106,8 @@ const (
 
 // Run is one configured execution and its derived metrics.
 type Run struct {
-	// Workload and Mode identify the configuration; Workers is the fixed
-	// size (0 for adaptive modes).
+	// Workload and Mode identify the configuration; Workers is WOOL's
+	// fixed allotment size (0 for adaptive modes).
 	Workload string
 	Mode     Mode
 	Workers  int
@@ -133,56 +135,89 @@ func (r Run) label() string {
 	}
 }
 
-// Execute runs one configuration on the platform.
+// scheduler maps a mode to its victim policy and a fresh estimator (nil
+// for WOOL's fixed allotment).
+func (m Mode) scheduler() (policy string, est core.Estimator, err error) {
+	switch m {
+	case ModeWOOL:
+		return "random", nil, nil
+	case ModeASteal:
+		return "random", asteal.New(), nil
+	case ModePalirria:
+		return "dvs", core.NewPalirria(), nil
+	}
+	return "", nil, fmt.Errorf("experiments: unknown scheduler %q (wool, asteal, palirria)", m)
+}
+
+// Config is the simulator configuration of one run of root on the
+// platform under mode. Adaptive modes start at diaspora 1 and ignore
+// workers; WOOL runs a fixed allotment of workers, where 0 means the
+// platform's largest fixed size and a size beyond MaxDiaspora is refused.
+func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, error) {
+	policy, est, err := mode.scheduler()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	mesh := p.Mesh()
+	cfg := sim.Config{
+		Mesh:            mesh,
+		Source:          p.Source,
+		Root:            root,
+		Machine:         p.Machine(mesh),
+		InitialDiaspora: 1,
+		MaxDiaspora:     p.MaxDiaspora,
+		Policy:          policy,
+		Estimator:       est,
+		Quantum:         p.Quantum,
+		Seed:            p.Seed,
+	}
+	if est == nil {
+		largest := p.FixedSizes[len(p.FixedSizes)-1]
+		if workers == 0 {
+			workers = largest
+		}
+		d, _, ok := topo.DiasporaForSize(mesh, p.Source, workers)
+		if !ok || d > p.MaxDiaspora {
+			return sim.Config{}, fmt.Errorf("experiments: no allotment of %d workers within the %s cap of %d workers",
+				workers, p.Name, largest)
+		}
+		cfg.InitialDiaspora = d
+	}
+	return cfg, nil
+}
+
+// RunConfig runs one simulator configuration and derives its metrics.
+func RunConfig(cfg sim.Config) (Run, error) {
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return Run{}, err
+	}
+	rep := res.Report()
+	run := Run{Result: res, Report: rep, WastePct: rep.WastefulnessPercent()}
+	if res.ExecCycles > 0 {
+		run.AvgWorkers = float64(res.Timeline.Area(res.ExecCycles)) / float64(res.ExecCycles)
+	}
+	return run, nil
+}
+
+// Execute runs workload wl on the platform under mode; fixedWorkers is
+// WOOL's allotment size (see Platform.Config).
 func Execute(p Platform, wl string, mode Mode, fixedWorkers int) (Run, error) {
 	d, err := workload.Get(wl)
 	if err != nil {
 		return Run{}, err
 	}
-	mesh := p.Mesh()
-	cfg := sim.Config{
-		Mesh:        mesh,
-		Source:      p.Source,
-		Root:        d.Root(p.WL),
-		Machine:     p.Machine(mesh),
-		MaxDiaspora: p.MaxDiaspora,
-		Quantum:     p.Quantum,
-		Seed:        p.Seed,
+	cfg, err := p.Config(d.Root(p.WL), mode, fixedWorkers)
+	if err != nil {
+		return Run{}, err
 	}
-	switch mode {
-	case ModeWOOL:
-		dd, _, ok := topo.DiasporaForSize(mesh, p.Source, fixedWorkers)
-		if !ok {
-			return Run{}, fmt.Errorf("experiments: no allotment of size %d", fixedWorkers)
-		}
-		cfg.InitialDiaspora = dd
-		cfg.Policy = "random"
-	case ModeASteal:
-		cfg.InitialDiaspora = 1
-		cfg.Policy = "random"
-		cfg.Estimator = asteal.New()
-	case ModePalirria:
-		cfg.InitialDiaspora = 1
-		cfg.Policy = "dvs"
-		cfg.Estimator = core.NewPalirria()
-	default:
-		return Run{}, fmt.Errorf("experiments: unknown mode %q", mode)
-	}
-	res, err := sim.Run(cfg)
+	run, err := RunConfig(cfg)
 	if err != nil {
 		return Run{}, fmt.Errorf("experiments: %s/%s: %w", wl, mode, err)
 	}
-	rep := res.Report()
-	run := Run{
-		Workload: wl,
-		Mode:     mode,
-		Workers:  fixedWorkers,
-		Result:   res,
-		Report:   rep,
-		WastePct: rep.WastefulnessPercent(),
-	}
-	if res.ExecCycles > 0 {
-		run.AvgWorkers = float64(res.Timeline.Area(res.ExecCycles)) / float64(res.ExecCycles)
+	run.Workload, run.Mode = wl, mode
+	if mode == ModeWOOL {
+		run.Workers = run.Report.MaxWorkers
 	}
 	return run, nil
 }
@@ -203,155 +238,59 @@ func (wr WorkloadRuns) All() []Run {
 	return append(out, wr.ASteal, wr.Palirria)
 }
 
-// RunWorkload executes the full configuration sweep for one workload.
-func RunWorkload(p Platform, wl string) (WorkloadRuns, error) {
-	wr := WorkloadRuns{Workload: wl}
-	for _, size := range p.FixedSizes {
-		r, err := Execute(p, wl, ModeWOOL, size)
-		if err != nil {
-			return wr, err
-		}
-		wr.Fixed = append(wr.Fixed, r)
-	}
-	var err error
-	if wr.ASteal, err = Execute(p, wl, ModeASteal, 0); err != nil {
-		return wr, err
-	}
-	if wr.Palirria, err = Execute(p, wl, ModePalirria, 0); err != nil {
-		return wr, err
-	}
-	base := float64(wr.Fixed[0].Result.ExecCycles)
-	norm := func(r *Run) {
-		if base > 0 {
-			r.NormExec = 100 * float64(r.Result.ExecCycles) / base
-		}
-	}
-	for i := range wr.Fixed {
-		norm(&wr.Fixed[i])
-	}
-	norm(&wr.ASteal)
-	norm(&wr.Palirria)
-	return wr, nil
-}
-
-// simResult aliases the simulator result for the ablation helpers.
-type simResult = sim.Result
-
-// simRunFixed runs workload d at a fixed diaspora under the given policy.
-func simRunFixed(p Platform, mesh *topo.Mesh, d *workload.Def, policy string, diaspora int) (*sim.Result, error) {
-	return sim.Run(sim.Config{
-		Mesh:            mesh,
-		Source:          p.Source,
-		Root:            d.Root(p.WL),
-		Machine:         p.Machine(mesh),
-		InitialDiaspora: diaspora,
-		MaxDiaspora:     p.MaxDiaspora,
-		Policy:          policy,
-		Seed:            p.Seed,
-		Quantum:         p.Quantum,
-	})
-}
-
-// simRunAdaptive runs workload d under the given estimator and policy.
-func simRunAdaptive(p Platform, mesh *topo.Mesh, d *workload.Def, est core.Estimator, policy string, noFilter bool) (*sim.Result, error) {
-	return sim.Run(sim.Config{
-		Mesh:            mesh,
-		Source:          p.Source,
-		Root:            d.Root(p.WL),
-		Machine:         p.Machine(mesh),
-		InitialDiaspora: 1,
-		MaxDiaspora:     p.MaxDiaspora,
-		Policy:          policy,
-		Seed:            p.Seed,
-		Quantum:         p.Quantum,
-		Estimator:       est,
-		NoFilter:        noFilter,
-	})
-}
-
-// RunWorkloadSeeds executes the sweep under several seeds and keeps, per
-// configuration, the second-best execution time — the paper's reporting
-// methodology ("the results reported were of the second best run among
-// 10", §5). Only the random-victim configurations (WOOL, ASTEAL) vary
-// with the seed; Palirria is deterministic, so its runs are identical and
-// the second best equals the only result.
-func RunWorkloadSeeds(p Platform, wl string, seeds []uint64) (WorkloadRuns, error) {
+// RunWorkload executes the full configuration sweep for one workload:
+// every fixed size, then ASTEAL and Palirria. Under several seeds it
+// keeps, per configuration, the second-best execution time — the paper's
+// reporting methodology ("the results reported were of the second best
+// run among 10", §5); no seeds means one sweep under p.Seed. Only the
+// random-victim configurations (WOOL, ASTEAL) vary with the seed;
+// Palirria is deterministic, so its runs are identical and the second
+// best equals the only result.
+func RunWorkload(p Platform, wl string, seeds []uint64) (WorkloadRuns, error) {
 	if len(seeds) == 0 {
-		return RunWorkload(p, wl)
+		seeds = []uint64{p.Seed}
 	}
-	var sweeps []WorkloadRuns
-	for _, seed := range seeds {
-		ps := p
-		ps.Seed = seed
-		wr, err := RunWorkload(ps, wl)
-		if err != nil {
-			return WorkloadRuns{}, err
-		}
-		sweeps = append(sweeps, wr)
+	type config struct {
+		mode    Mode
+		workers int
 	}
-	pick := func(get func(WorkloadRuns) Run) Run {
-		runs := make([]Run, 0, len(sweeps))
-		for _, s := range sweeps {
-			runs = append(runs, get(s))
+	var configs []config
+	for _, n := range p.FixedSizes {
+		configs = append(configs, config{ModeWOOL, n})
+	}
+	configs = append(configs, config{ModeASteal, 0}, config{ModePalirria, 0})
+	picked := make([]Run, len(configs))
+	for i, c := range configs {
+		runs := make([]Run, len(seeds))
+		for j, seed := range seeds {
+			ps := p
+			ps.Seed = seed
+			r, err := Execute(ps, wl, c.mode, c.workers)
+			if err != nil {
+				return WorkloadRuns{}, err
+			}
+			runs[j] = r
 		}
 		// Second best = second smallest exec (best when only one run).
-		bestIdx := 0
-		for i, r := range runs {
-			if r.Result.ExecCycles < runs[bestIdx].Result.ExecCycles {
-				bestIdx = i
-			}
-		}
-		secondIdx := bestIdx
-		for i, r := range runs {
-			if i == bestIdx {
-				continue
-			}
-			if secondIdx == bestIdx || r.Result.ExecCycles < runs[secondIdx].Result.ExecCycles {
-				secondIdx = i
-			}
-		}
-		return runs[secondIdx]
+		sort.SliceStable(runs, func(a, b int) bool { return runs[a].Result.ExecCycles < runs[b].Result.ExecCycles })
+		picked[i] = runs[min(1, len(runs)-1)]
 	}
-	out := WorkloadRuns{Workload: wl}
-	for i := range sweeps[0].Fixed {
-		i := i
-		out.Fixed = append(out.Fixed, pick(func(s WorkloadRuns) Run { return s.Fixed[i] }))
-	}
-	out.ASteal = pick(func(s WorkloadRuns) Run { return s.ASteal })
-	out.Palirria = pick(func(s WorkloadRuns) Run { return s.Palirria })
-	// Re-normalize against the selected 5-worker run.
-	base := float64(out.Fixed[0].Result.ExecCycles)
-	renorm := func(r *Run) {
-		if base > 0 {
-			r.NormExec = 100 * float64(r.Result.ExecCycles) / base
+	// Normalize against the selected 5-worker run.
+	if base := float64(picked[0].Result.ExecCycles); base > 0 {
+		for i := range picked {
+			picked[i].NormExec = 100 * float64(picked[i].Result.ExecCycles) / base
 		}
 	}
-	for i := range out.Fixed {
-		renorm(&out.Fixed[i])
-	}
-	renorm(&out.ASteal)
-	renorm(&out.Palirria)
-	return out, nil
+	n := len(p.FixedSizes)
+	return WorkloadRuns{Workload: wl, Fixed: picked[:n:n], ASteal: picked[n], Palirria: picked[n+1]}, nil
 }
 
-// RunSuiteSeeds is RunSuite under the second-best-of-seeds methodology.
-func RunSuiteSeeds(p Platform, seeds []uint64) ([]WorkloadRuns, error) {
+// RunSuite executes the paper's seven workloads on platform p (see
+// RunWorkload for seeds).
+func RunSuite(p Platform, seeds []uint64) ([]WorkloadRuns, error) {
 	var out []WorkloadRuns
 	for _, d := range workload.PaperSet() {
-		wr, err := RunWorkloadSeeds(p, d.Name, seeds)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, wr)
-	}
-	return out, nil
-}
-
-// RunSuite executes the paper's seven workloads on platform p.
-func RunSuite(p Platform) ([]WorkloadRuns, error) {
-	var out []WorkloadRuns
-	for _, d := range workload.PaperSet() {
-		wr, err := RunWorkload(p, d.Name)
+		wr, err := RunWorkload(p, d.Name, seeds)
 		if err != nil {
 			return nil, err
 		}

@@ -423,66 +423,38 @@ func RunSim(cfg SimConfig) (*Report, error) {
 		}
 		root = d.Root(p.WL)
 	}
-	mesh, source, maxD := p.Mesh(), p.Source, p.MaxDiaspora
+	mode := experiments.Mode(cfg.Scheduler)
+	if mode == "" {
+		mode = experiments.ModePalirria
+	}
 	// The platform's own Seed and Quantum are the figures' settings; the
 	// facade keeps SimConfig's.
-	rc := sim.Config{
-		Mesh:        mesh,
-		Source:      source,
-		Root:        root,
-		Machine:     p.Machine(mesh),
-		MaxDiaspora: maxD,
-		Quantum:     cfg.Quantum,
-		Seed:        cfg.Seed,
-		TraceCap:    cfg.TraceCap,
-		Observe:     cfg.Observe,
-		Introspect:  cfg.Introspect,
-	}
-	switch cfg.Scheduler {
-	case "wool":
-		rc.InitialDiaspora = maxD
-		if size := cfg.FixedWorkers; size != 0 {
-			dd, a, ok := topo.DiasporaForSize(mesh, source, size)
-			if !ok || dd > maxD || a.Size() < size {
-				return nil, fmt.Errorf("palirria: no allotment of size %d within the platform cap", size)
-			}
-			rc.InitialDiaspora = dd
-		}
-		rc.Policy = "random"
-	case "asteal":
-		rc.InitialDiaspora = 1
-		rc.Policy = "random"
-		rc.Estimator = asteal.New()
-	case "", "palirria":
-		rc.InitialDiaspora = 1
-		rc.Policy = "dvs"
-		rc.Estimator = core.NewPalirria()
-	default:
-		return nil, fmt.Errorf("palirria: unknown scheduler %q (wool, asteal, palirria)", cfg.Scheduler)
-	}
-	res, err := sim.Run(rc)
+	p.Seed, p.Quantum = cfg.Seed, cfg.Quantum
+	rc, err := p.Config(root, mode, cfg.FixedWorkers)
 	if err != nil {
 		return nil, err
 	}
-	rep := res.Report()
-	out := &Report{
+	rc.TraceCap, rc.Observe, rc.Introspect = cfg.TraceCap, cfg.Observe, cfg.Introspect
+	run, err := experiments.RunConfig(rc)
+	if err != nil {
+		return nil, err
+	}
+	res, rep := run.Result, run.Report
+	return &Report{
 		ExecCycles:          res.ExecCycles,
 		MaxWorkers:          rep.MaxWorkers,
-		WastefulnessPercent: rep.WastefulnessPercent(),
+		AvgWorkers:          run.AvgWorkers,
+		WastefulnessPercent: run.WastePct,
 		Steals:              rep.TotalSteals,
 		FailedProbes:        rep.TotalFailedProbes,
 		Tasks:               rep.TotalTasks,
 		Timeline:            res.Timeline,
 		Workers:             res.Workers,
+		Trace:               res.Trace,
 		Metrics:             rep,
 		Obs:                 res.Obs,
 		EstimatorTrace:      res.EstimatorTrace,
-	}
-	out.Trace = res.Trace
-	if res.ExecCycles > 0 {
-		out.AvgWorkers = float64(res.Timeline.Area(res.ExecCycles)) / float64(res.ExecCycles)
-	}
-	return out, nil
+	}, nil
 }
 
 // reportJSON is the serializable projection of a Report.
