@@ -221,3 +221,54 @@ func TestWatcherHeartbeatsKeepWatchdogQuiet(t *testing.T) {
 		t.Fatalf("err = %v, want no-events error", err)
 	}
 }
+
+// sseLineMax is consumeSSE's scanner bound: a line that does not fit in
+// it fails the stream.
+const sseLineMax = 1024 * 1024
+
+// FuzzConsumeSSE feeds arbitrary bytes through the -watch parser and every
+// frame it yields through watcher.handle. Nothing may panic. The parser
+// must return nil exactly when every line fits the scanner bound and is
+// blank, a comment, or an id/event/data field; a line of 1 MiB or more is
+// an error, not a hang. handle's own verdicts (bad JSON, a name that does
+// not match the kind) are not the parser's, so every frame is fed to it
+// and the parse goes on.
+func FuzzConsumeSSE(f *testing.F) {
+	f.Add([]byte(": hello\n\n" +
+		"id: 1\nevent: admitted\ndata: {\"seq\":1,\"ts_ns\":5,\"kind\":\"admitted\",\"pool\":\"web\",\"job\":1}\n\n" +
+		"event: drop\ndata: {\"dropped\":3,\"total\":3}\n\n"))
+	f.Add([]byte("id: 5\nevent: quantum\ndata: {\"seq\":5,\"ts_ns\":1,\"kind\":\"quantum\",\"pool\":\"web\",\"raw\":6,\"desire\":5,\"granted\":4,\"capacity\":8}\r\n\r\n"))
+	f.Add([]byte("event: x\nwhat is this\n\n"))
+	f.Add([]byte("data: " + strings.Repeat("x", sseLineMax) + "\n\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		w := &watcher{pools: map[string]*poolWatch{}}
+		err := consumeSSE(bytes.NewReader(in), func(fr sseFrame) error {
+			_ = w.handle(fr)
+			return nil
+		})
+		wellFormed, long := true, false
+		lines := bytes.Split(in, []byte("\n"))
+		if len(lines[len(lines)-1]) == 0 {
+			lines = lines[:len(lines)-1] // the final newline ends the last line
+		}
+		for _, l := range lines {
+			if len(l) >= sseLineMax {
+				long = true
+			}
+			l = bytes.TrimSuffix(l, []byte("\r"))
+			s := string(l)
+			if s != "" && !strings.HasPrefix(s, ":") && !strings.HasPrefix(s, "id: ") &&
+				!strings.HasPrefix(s, "event: ") && !strings.HasPrefix(s, "data: ") {
+				wellFormed = false
+			}
+		}
+		switch {
+		case long && err == nil:
+			t.Fatal("a line of 1 MiB or more was accepted")
+		case !long && wellFormed && err != nil:
+			t.Fatalf("well-formed stream rejected: %v", err)
+		case !wellFormed && err == nil:
+			t.Fatal("a malformed line was accepted")
+		}
+	})
+}

@@ -22,7 +22,7 @@ func main() {
 	wl := flag.String("workload", "fib", "workload name ("+strings.Join(palirria.Workloads(), ", ")+")")
 	sched := flag.String("scheduler", "palirria", "scheduler: wool, asteal, palirria")
 	platform := flag.String("platform", "sim32", "platform: sim32, numa48")
-	workers := flag.Int("workers", 0, "fixed allotment size (wool only; default max)")
+	workers := flag.Int("workers", 0, "fixed allotment size (wool only): a complete allotment size; 0 = the largest")
 	quantum := flag.Int64("quantum", 0, "estimation interval in cycles (default 50000)")
 	seed := flag.Uint64("seed", 9, "seed for random victim selection")
 	timeline := flag.Bool("timeline", false, "print the allotment timeline")

@@ -41,6 +41,21 @@ func TestExecuteModes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "cap of 27 workers") {
 		t.Fatalf("28 workers on %s: err = %v, want the platform-cap error", p.Name, err)
 	}
+	// A size between two complete allotments is refused, not rounded up
+	// to the next one, and the error lists the sizes that do exist.
+	for _, c := range []struct {
+		p       Platform
+		workers int
+		sizes   string
+	}{{SimPlatform(), 10, "5/12/20/27"}, {LinuxPlatform(), 12, "5/13/24/35/42/45"}} {
+		r, err := Execute(c.p, "skew", ModeWOOL, c.workers)
+		if err == nil {
+			t.Fatalf("WOOL %d on %s ran %d workers, want an error", c.workers, c.p.Name, r.Report.MaxWorkers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.p.Name) || !strings.Contains(msg, c.sizes) {
+			t.Fatalf("WOOL %d on %s: err = %v, want the platform and its sizes %s", c.workers, c.p.Name, err, c.sizes)
+		}
+	}
 }
 
 func TestRunWorkloadNormalization(t *testing.T) {

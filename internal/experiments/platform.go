@@ -7,6 +7,8 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"palirria/internal/asteal"
 	"palirria/internal/core"
@@ -152,7 +154,8 @@ func (m Mode) scheduler() (policy string, est core.Estimator, err error) {
 // Config is the simulator configuration of one run of root on the
 // platform under mode. Adaptive modes start at diaspora 1 and ignore
 // workers; WOOL runs a fixed allotment of workers, where 0 means the
-// platform's largest fixed size and a size beyond MaxDiaspora is refused.
+// platform's largest fixed size. A size that is not exactly one of the
+// platform's complete allotments (FixedSizes) is refused, never rounded.
 func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, error) {
 	policy, est, err := mode.scheduler()
 	if err != nil {
@@ -176,10 +179,14 @@ func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, e
 		if workers == 0 {
 			workers = largest
 		}
-		d, _, ok := topo.DiasporaForSize(mesh, p.Source, workers)
-		if !ok || d > p.MaxDiaspora {
-			return sim.Config{}, fmt.Errorf("experiments: no allotment of %d workers within the %s cap of %d workers",
-				workers, p.Name, largest)
+		d, a, ok := topo.DiasporaForSize(mesh, p.Source, workers)
+		if !ok || d > p.MaxDiaspora || a.Size() != workers {
+			sizes := make([]string, len(p.FixedSizes))
+			for i, n := range p.FixedSizes {
+				sizes[i] = strconv.Itoa(n)
+			}
+			return sim.Config{}, fmt.Errorf("experiments: %d workers is not a complete allotment on %s (sizes %s, cap of %d workers)",
+				workers, p.Name, strings.Join(sizes, "/"), largest)
 		}
 		cfg.InitialDiaspora = d
 	}

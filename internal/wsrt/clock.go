@@ -11,10 +11,14 @@ import "time"
 // the monotonic reading is immune to wall-clock steps, which previously
 // could produce negative task durations under NTP adjustment.
 //
-// nowNS sits on the hottest paths in the package: runTask charges one
-// reading per executed task (plus one more when it closes a search
-// episode), so the clock's cost is a first-order term in persistent-mode
-// submit throughput.
+// nowNS sits on the hottest paths in the package. runTask — roots, stolen
+// tasks, shard pops — reads it once per task when the task follows
+// another at depth 0 (the phase boundary is reused), twice when it closes
+// a search episode or is a leapfrog steal nested in a task. Sync's
+// leapfrog stamps each probe and backoff sleep. Children popped back at
+// Sync or run inline on a full deque go through runInline and read no
+// clock, so the clock is paid per root and per steal, not per spawn — a
+// first-order term in persistent-mode submit throughput.
 var clockBase = time.Now()
 
 func nowNS() int64 { return int64(time.Since(clockBase)) }

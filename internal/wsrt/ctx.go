@@ -17,7 +17,8 @@ type rtTask struct {
 	// onDone, when set, marks a job root: it fires after the task (and all
 	// of its joins) completes. The batch Run root uses it to signal
 	// completion; persistent-mode submissions use it to notify their
-	// waiters.
+	// waiters. Only roots carry onDone and onTerm — Spawn never sets them —
+	// so they fire only from runTask; runInline refuses a task with either.
 	onDone func()
 	// onTerm, when set, fires exactly once after onDone with the job's
 	// terminal disposition: ran=true when the root executed to completion,
@@ -40,7 +41,7 @@ func (c *Ctx) Worker() int { return int(c.w.id) }
 
 // Spawn places fn in the task queue as a stealable task, continuing the
 // current task (work-first). When the queue is full the child executes
-// inline immediately, like WOOL.
+// inline immediately (runInline), like WOOL.
 func (c *Ctx) Spawn(fn Func) {
 	t := &rtTask{fn: fn}
 	if c.w.deque.PushBottom(t) {
@@ -51,14 +52,18 @@ func (c *Ctx) Spawn(fn Func) {
 		// no-waiters fast path is a single atomic load — see idle.go).
 		c.w.wakeOneThief()
 	} else {
-		c.w.runTask(t)
+		// Still appended below, because Future.Go reads the last pending
+		// entry; the done flag lets the later Sync skip it.
+		c.w.runInline(t)
+		t.done.Store(true)
 	}
 	c.pending = append(c.pending, t)
 }
 
 // Sync joins the youngest outstanding spawn: if it was not stolen it is
-// popped and executed inline; if a thief has it, the worker steals other
-// work while waiting (leapfrogging).
+// popped and executed inline (runInline, inside this task's useful
+// window); if a thief has it, the worker steals other work while waiting
+// (leapfrogging).
 func (c *Ctx) Sync() {
 	if len(c.pending) == 0 {
 		return
@@ -72,7 +77,7 @@ func (c *Ctx) Sync() {
 	if c.w.deque.BottomIs(t) {
 		if got, ok := c.w.deque.PopBottom(); ok {
 			if got == t {
-				c.w.runTask(t)
+				c.w.runInline(t)
 				return
 			}
 			// A thief raced us past t; got is an older task that must go
@@ -103,6 +108,10 @@ func (c *Ctx) Sync() {
 		if spins < 32 {
 			runtime.Gosched()
 		} else {
+			// Asks for 5µs, but a sub-millisecond time.Sleep overshoots
+			// to about 1 ms at p50 on a 2-vCPU host (bench/openloop.go
+			// notes the same). It fires at most a couple of times per
+			// forkjoin_batch run, so it is left as is.
 			t0 := nowNS()
 			time.Sleep(5 * time.Microsecond)
 			c.w.addSearch(nowNS() - t0)

@@ -50,13 +50,15 @@ type worker struct {
 	// victimBuf is the worker-owned scratch buffer VictimsInto fills, so
 	// steal probes do zero heap allocations at steady state (owner-only).
 	victimBuf []topo.CoreID
-	// ctxFree recycles Ctx frames: runTask nests strictly, so a LIFO free
-	// list bounds allocations by the deepest nesting seen (owner-only).
+	// ctxFree recycles Ctx frames: runTask and runInline nest strictly,
+	// so a LIFO free list bounds allocations by the deepest nesting seen
+	// (owner-only).
 	ctxFree []*Ctx
 	// excluded accumulates, within the innermost running task's window,
 	// time that belongs to someone else: nested runTask spans and search
-	// waits. runTask subtracts it so each nanosecond lands in exactly one
-	// of UsefulNS / SearchNS / IdleNS (owner-only).
+	// waits, including those inside inline children, which open no window
+	// of their own. runTask subtracts it so each nanosecond lands in
+	// exactly one of UsefulNS / SearchNS / IdleNS (owner-only).
 	excluded int64
 	// spins counts consecutive failed sweeps toward the idleSpins budget
 	// (owner-only).
@@ -365,9 +367,32 @@ func (w *worker) takeSibling() *rtTask {
 	return nil
 }
 
-// runTask executes one task to completion (including its implicit joins).
-// It nests: Sync pops and inlines unstolen children through runTask, so the
-// busy flag follows a depth counter (owner-only writes).
+// runInline executes an unstolen child on its spawner's stack: one popped
+// back at its own parent's Sync, or one Spawn runs at once because the
+// deque is full. Unlike runTask it reads no clock, leaves busy alone
+// (already true: the parent runs at depth >= 1) and opens no accounting
+// window, so the child's time stays in the enclosing runTask's useful
+// window — the same total runTask would split into the parent's exclusion
+// and the child's self time. Search and leapfrog steals inside the child
+// still reach w.excluded and leave that window. Spawned children carry no
+// root hooks.
+func (w *worker) runInline(t *rtTask) {
+	if t.onDone != nil || t.onTerm != nil {
+		panic("wsrt: runInline given a job root")
+	}
+	ctx := w.ctxGet()
+	t.fn(ctx)
+	ctx.joinAll()
+	w.ctxPut(ctx)
+	atomic.AddInt64(&w.stats.Tasks, 1)
+	w.emit(obs.KindTaskDone, obs.NoWorker, 0)
+}
+
+// runTask executes one task to completion (including its implicit joins):
+// the entry for roots, stolen tasks, shard pops and tasks stolen while
+// leapfrogging — every task that opens its own accounting window. It
+// nests (leapfrog steals run inside a task window), so the busy flag
+// follows a depth counter (owner-only writes).
 func (w *worker) runTask(t *rtTask) {
 	w.depth++
 	w.busy.Store(true)
@@ -377,8 +402,8 @@ func (w *worker) runTask(t *rtTask) {
 	// depth 0), the previous boundary timestamp is reused and the task
 	// pays one clock read in total, at its end. The few nanoseconds of
 	// queue bookkeeping between tasks land in UsefulNS — per-task runtime
-	// overhead, not search. Nested frames (Sync inlining, leapfrog) have
-	// no boundary to reuse and read the clock.
+	// overhead, not search. Nested frames (leapfrog steals) have no
+	// boundary to reuse and read the clock.
 	var t0 int64
 	switch {
 	case w.searchT0 != 0:

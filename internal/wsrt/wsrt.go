@@ -3,22 +3,25 @@
 // implementation, where the simulator package is the counterpart of its
 // Barrelfish/Simics one.
 //
-// Workers are goroutines locked to OS threads (and, on Linux, best-effort
-// pinned to cores with sched_setaffinity), each owning a lock-free
-// Chase-Lev deque. The programming model is WOOL's: Spawn places a
-// stealable task in the owner's queue, Sync joins the youngest outstanding
-// spawn — popping and inlining it when it was not stolen, leapfrog-stealing
-// while waiting when it was. Victim selection is pluggable (DVS or
-// random), and a helper goroutine drives a core.Controller once per
-// quantum, growing and shrinking the allotment zone by zone through
-// sysched.Manager, with removed workers draining exactly as §4.1.1
-// prescribes.
+// Workers are goroutines, each owning a lock-free Chase-Lev deque. Only
+// under Config.Pin are they locked to OS threads and, on Linux,
+// best-effort pinned to cores with sched_setaffinity; no serving path sets
+// it, so there workers share GOMAXPROCS with every other goroutine. The
+// programming model is WOOL's: Spawn places a stealable task in the
+// owner's queue, Sync joins the youngest outstanding spawn — popping and
+// running it inline, at about the cost of a call, when it was not stolen,
+// leapfrog-stealing while waiting when it was. Victim selection is
+// pluggable (DVS or random), and a helper goroutine drives a
+// core.Controller once per quantum, growing and shrinking the allotment
+// zone by zone through sysched.Manager, with removed workers draining
+// exactly as §4.1.1 prescribes.
 //
 // Caveat (from the reproduction calibration): Go's own scheduler sits
 // under the workers, so wall-clock results are noisier than the paper's
 // pthread runtime and far noisier than the deterministic simulator. The
-// benchmark harness therefore uses the simulator; this package exists to
-// demonstrate — and test — the algorithms on real parallelism.
+// paper's figures therefore come from the simulator; the benchmark
+// harness drives this package directly in forkjoin_batch and, through
+// the serving pool, in serve_waves and serve_dag.
 package wsrt
 
 import (
@@ -131,9 +134,11 @@ type Config struct {
 // WorkerReport is one worker's accounting, in nanoseconds where the
 // simulator reports cycles.
 type WorkerReport struct {
-	// UsefulNS is time spent executing task bodies. Nested task execution
-	// (Sync inlining, leapfrog steals) is attributed to exactly one task,
-	// so UsefulNS + SearchNS + IdleNS never exceeds the worker's wall time.
+	// UsefulNS is time spent executing task bodies. A child popped back
+	// at its parent's Sync (or run inline on a full deque) is counted in
+	// its parent's window; a leapfrog steal is counted as its own task.
+	// Each span lands in exactly one task, so UsefulNS + SearchNS + IdleNS
+	// never exceeds the worker's wall time.
 	UsefulNS int64
 	// SearchNS is time actively spent looking for work: steal probes and
 	// the bounded pre-park spin. Parked time is not search time — that

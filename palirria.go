@@ -363,8 +363,10 @@ type SimConfig struct {
 	// "asteal" (adaptive baseline) or "palirria" (DVS + DMC estimation).
 	// Default "palirria".
 	Scheduler string
-	// FixedWorkers sets the allotment size for "wool" (default: platform
-	// maximum). Adaptive schedulers start at 5 workers per the paper.
+	// FixedWorkers sets the allotment size for "wool": a complete
+	// allotment size of the platform (sim32: 5/12/20/27; numa48:
+	// 5/13/24/35/42/45); 0 = the largest. Any other size is an error.
+	// Adaptive schedulers start at 5 workers per the paper.
 	FixedWorkers int
 	// Quantum overrides the estimation interval in cycles.
 	Quantum int64
