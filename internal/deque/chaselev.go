@@ -130,7 +130,9 @@ func (d *ChaseLev[T]) BottomIs(v *T) bool {
 // element it took: once top has moved, the owner may already have pushed
 // a new element into that slot, which the CAS then leaves alone. This
 // relies on an element never being pushed again while a thief may still
-// hold it — true of the runtime's task records, which are never recycled.
+// hold it. The runtime recycles its task records, but a record is pushed
+// again only after its thief has run it and published that it is done,
+// which happens after this CAS.
 func (d *ChaseLev[T]) StealTop() (*T, bool) {
 	t := d.top.Load()
 	b := d.bottom.Load()

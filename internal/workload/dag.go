@@ -68,7 +68,7 @@ func DAGNames() []string {
 }
 
 // stageFan builds one stage's task tree: a binary fan over width leaves of
-// grain cycles each, the same repopulating shape stressBatch uses so a
+// grain cycles each, the same repopulating shape as a stress batch, so a
 // stolen subtree keeps feeding thieves.
 func stageFan(label string, base, width, grain int64) *task.Spec {
 	if width <= 1 {

@@ -28,17 +28,36 @@ func fibPerInstance(n int, leaf, add int64) *task.Spec {
 	}
 }
 
-// preorder walks the whole tree and records, per task, its label,
-// footprint, op kinds and compute work.
-func preorder(s *task.Spec, out *[]string) {
-	line := fmt.Sprintf("%s fp=%d mb=%v", s.Label, s.Footprint, s.MemBound)
+// preorder walks the whole tree and records, per task, its label (when
+// labels is set), footprint, op kinds and compute work.
+func preorder(s *task.Spec, labels bool, out *[]string) {
+	line := fmt.Sprintf("fp=%d mb=%v", s.Footprint, s.MemBound)
+	if labels {
+		line = s.Label + " " + line
+	}
 	for _, op := range s.Ops {
 		line += fmt.Sprintf(" %v:%d", op.Kind, op.Work)
 	}
 	*out = append(*out, line)
 	for _, op := range s.Ops {
 		if op.Kind == task.OpSpawn || op.Kind == task.OpCall {
-			preorder(op.Gen(), out)
+			preorder(op.Gen(), labels, out)
+		}
+	}
+}
+
+// samePreorder fails t unless the two trees walk identically.
+func samePreorder(t *testing.T, name string, got, want *task.Spec, labels bool) {
+	t.Helper()
+	var g, w []string
+	preorder(got, labels, &g)
+	preorder(want, labels, &w)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d tasks in the walk, reference %d", name, len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: task %d is %q, reference %q", name, i, g[i], w[i])
 		}
 	}
 }
@@ -68,16 +87,6 @@ func TestFibMatchesPerInstanceGenerator(t *testing.T) {
 		if n > 12 {
 			continue
 		}
-		var g, w []string
-		preorder(Fib.Build(in), &g)
-		preorder(fibPerInstance(n, in.Grain, add), &w)
-		if len(g) != len(w) {
-			t.Fatalf("N=%d: %d tasks in the walk, reference %d", n, len(g), len(w))
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("N=%d: task %d is %q, reference %q", n, i, g[i], w[i])
-			}
-		}
+		samePreorder(t, fmt.Sprintf("N=%d", n), Fib.Build(in), fibPerInstance(n, in.Grain, add), true)
 	}
 }

@@ -35,43 +35,56 @@ func buildStress(in Input) *task.Spec {
 		width = in.Extra[1]
 	}
 	batches := (in.N + width - 1) / width
+	fans := stressFans{grain: in.Grain, spread: spread, built: map[stressKey]task.Builder{}}
 	children := make([]task.Builder, batches)
 	for b := int64(0); b < batches; b++ {
-		b := b
-		children[b] = func() *task.Spec {
-			return stressBatch(in, b, width, spread)
-		}
+		children[b] = fans.get(b*width, width)
 	}
 	return task.SpawnJoin("stress", 64, children, 0, 64)
 }
 
-// stressBatch is one batch: a nested binary fan over width leaves, so that
-// stolen subtrees repopulate thieves' queues and the load can flow across
-// the whole allotment.
-func stressBatch(in Input, batch, width, spread int64) *task.Spec {
-	return stressFan(in, batch*width, width, spread)
+// stressKey names a fan by what its subtree depends on: the phase of its
+// first leaf's grain cycle and its width.
+type stressKey struct{ phase, width int64 }
+
+// stressFans builds each distinct fan once, while Build runs, and hands
+// out builders that return the shared spec: every batch is a nested
+// binary fan over width leaves (so stolen subtrees repopulate thieves'
+// queues and the load can flow across the whole allotment), and a fan's
+// tree depends only on its stressKey.
+type stressFans struct {
+	grain, spread int64
+	built         map[stressKey]task.Builder
 }
 
-func stressFan(in Input, base, width, spread int64) *task.Spec {
+// get returns the builder of the fan over the width leaves starting at
+// global leaf index base.
+func (f *stressFans) get(base, width int64) task.Builder {
+	k := stressKey{base % f.spread, width}
+	if b, ok := f.built[k]; ok {
+		return b
+	}
+	var s *task.Spec
 	if width <= 1 {
 		// Grain varies cyclically with the leaf's global index: the
 		// deterministic "varying grain size" stressor.
-		work := in.Grain * (1 + base%spread)
-		s := task.Leaf("stress-leaf", work)
-		s.Footprint = 128
-		return s
+		s = task.Leaf("stress-leaf", f.grain*(1+k.phase))
+	} else {
+		half := width / 2
+		s = &task.Spec{
+			Label: fmt.Sprintf("stress-fan %d", width),
+			Ops: []task.Op{
+				task.Spawn(f.get(base, half)),
+				task.Spawn(f.get(base+half, width-half)),
+				task.Sync(),
+				task.Sync(),
+			},
+		}
 	}
-	half := width / 2
-	return &task.Spec{
-		Label:     fmt.Sprintf("stress-fan %d+%d", base, width),
-		Footprint: 128,
-		Ops: []task.Op{
-			task.Spawn(func() *task.Spec { return stressFan(in, base, half, spread) }),
-			task.Spawn(func() *task.Spec { return stressFan(in, base+half, width-half, spread) }),
-			task.Sync(),
-			task.Sync(),
-		},
-	}
+	s.Footprint = 128
+	b := func() *task.Spec { return s }
+	f.built[k] = b
+	return b
 }
 
 // Skew is the paper's adaptation of Stress that produces an unbalanced task

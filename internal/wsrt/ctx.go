@@ -10,9 +10,15 @@ import (
 )
 
 // rtTask is one spawned task record: the unit placed in deques and joined
-// at syncs.
+// at syncs. A spawned record comes from its spawner's free list (taskGet)
+// and goes back to it at the Sync that joins it (taskPut), once the child
+// is known to be done; job roots are allocated fresh and never recycled.
 type rtTask struct {
+	// fn is the body of a Spawn(Func) child or a root; gen, when set
+	// instead, builds a spec child (SpecFunc's spawns), so spawning one
+	// needs no closure.
 	fn   Func
+	gen  task.Builder
 	done atomic.Bool
 	// onDone, when set, marks a job root: it fires after the task (and all
 	// of its joins) completes. The batch Run root uses it to signal
@@ -39,11 +45,23 @@ type Ctx struct {
 // Worker returns the executing worker's core id (for diagnostics).
 func (c *Ctx) Worker() int { return int(c.w.id) }
 
+// run executes the task's body on ctx.
+func (t *rtTask) run(ctx *Ctx) {
+	if t.gen != nil {
+		runSpec(ctx, t.gen())
+		return
+	}
+	t.fn(ctx)
+}
+
 // Spawn places fn in the task queue as a stealable task, continuing the
 // current task (work-first). When the queue is full the child executes
 // inline immediately (runInline), like WOOL.
-func (c *Ctx) Spawn(fn Func) {
-	t := &rtTask{fn: fn}
+func (c *Ctx) Spawn(fn Func) { c.push(c.w.taskGet(fn, nil)) }
+
+// push places a spawned record in the task queue, or runs it at once when
+// the queue is full, and appends it to the pending joins.
+func (c *Ctx) push(t *rtTask) {
 	if c.w.deque.PushBottom(t) {
 		n := int32(c.w.deque.Len())
 		c.w.noteSpawn(n)
@@ -63,7 +81,8 @@ func (c *Ctx) Spawn(fn Func) {
 // Sync joins the youngest outstanding spawn: if it was not stolen it is
 // popped and executed inline (runInline, inside this task's useful
 // window); if a thief has it, the worker steals other work while waiting
-// (leapfrogging).
+// (leapfrogging). Once the child is done its record goes back to this
+// worker's free list.
 func (c *Ctx) Sync() {
 	if len(c.pending) == 0 {
 		return
@@ -71,6 +90,7 @@ func (c *Ctx) Sync() {
 	t := c.pending[len(c.pending)-1]
 	c.pending = c.pending[:len(c.pending)-1]
 	if t.done.Load() {
+		c.w.taskPut(t)
 		return
 	}
 	// Conditional pop: only if our child is still the bottom element.
@@ -78,6 +98,11 @@ func (c *Ctx) Sync() {
 		if got, ok := c.w.deque.PopBottom(); ok {
 			if got == t {
 				c.w.runInline(t)
+				if raceEnabled {
+					// Only for taskGet's tenant check: no thief has t.
+					t.done.Store(true)
+				}
+				c.w.taskPut(t)
 				return
 			}
 			// A thief raced us past t; got is an older task that must go
@@ -108,15 +133,18 @@ func (c *Ctx) Sync() {
 		if spins < 32 {
 			runtime.Gosched()
 		} else {
-			// Asks for 5µs, but a sub-millisecond time.Sleep overshoots
-			// to about 1 ms at p50 on a 2-vCPU host (bench/openloop.go
-			// notes the same). It fires at most a couple of times per
-			// forkjoin_batch run, so it is left as is.
+			// Asks for 5µs and overshoots: timed inside the paper
+			// programs on the bench's 4x2 runtime (2-vCPU host) one sleep
+			// takes 15-55µs at p50 (nqueens ~20µs, strassen ~45µs), with
+			// a tail reaching 1 ms; alone, in an otherwise idle process,
+			// ~12µs at p50 and ~1 ms at p90. It fires at most a few times
+			// per forkjoin_batch run, so it is left as is.
 			t0 := nowNS()
 			time.Sleep(5 * time.Microsecond)
 			c.w.addSearch(nowNS() - t0)
 		}
 	}
+	c.w.taskPut(t)
 }
 
 // SyncAll joins every outstanding spawn (youngest first).
@@ -152,7 +180,8 @@ func (c *Ctx) Compute(cycles int64) {
 // directly onto the Ctx operations. A spawned child's builder runs where
 // the child runs — on the thief that steals it, or on the spawner when it
 // pops the child back at its sync — never on the spawner before the push;
-// task.Builder allows any worker to invoke it.
+// task.Builder allows any worker to invoke it. The spawned record carries
+// the builder itself, so a spec spawn allocates nothing.
 func SpecFunc(s *task.Spec) Func {
 	return func(c *Ctx) { runSpec(c, s) }
 }
@@ -164,8 +193,7 @@ func runSpec(c *Ctx, s *task.Spec) {
 		case task.OpCompute:
 			c.Compute(op.Work)
 		case task.OpSpawn:
-			gen := op.Gen
-			c.Spawn(func(cc *Ctx) { runSpec(cc, gen()) })
+			c.push(c.w.taskGet(nil, op.Gen))
 		case task.OpCall:
 			// A call gets its own frame scope: its spawns join inside
 			// it, never leaking into the parent's pending list.

@@ -27,10 +27,16 @@ func Go[T any](c *Ctx, fn func(*Ctx) T) *Future[T] {
 // stolen, leapfrogging when it was) and returns its value. It must be
 // called on the same Ctx that created the future, with the future being
 // the youngest outstanding spawn — the LIFO discipline of WOOL's SYNC.
+// A future joins once: the join recycles its task record, which a later
+// spawn may reuse, so a second Join panics rather than join that spawn.
 func (f *Future[T]) Join(c *Ctx) T {
+	if f.task == nil {
+		panic("wsrt: Future.Join called twice")
+	}
 	if len(c.pending) == 0 || c.pending[len(c.pending)-1] != f.task {
 		panic("wsrt: Future.Join out of LIFO order (join the youngest spawn first)")
 	}
 	c.Sync()
+	f.task = nil
 	return f.val
 }

@@ -92,3 +92,40 @@ func TestFutureDifferentTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFutureDoubleJoinPanics joins a future twice with a spawn in between.
+// The first join recycled the future's task record and the new spawn
+// reuses it, so the second Join finds that record at the top of the
+// pending joins; it must still panic rather than join the new spawn.
+func TestFutureDoubleJoinPanics(t *testing.T) {
+	rt, err := New(Config{Mesh: topo.MustMesh(1), Source: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recovered, reused bool
+	_, err = rt.Run(func(c *Ctx) {
+		a := Go(c, func(*Ctx) int { return 1 })
+		rec := a.task
+		if a.Join(c) != 1 {
+			t.Error("future value wrong")
+		}
+		b := Go(c, func(*Ctx) int { return 2 })
+		reused = b.task == rec
+		func() {
+			defer func() { recovered = recover() != nil }()
+			a.Join(c)
+		}()
+		if b.Join(c) != 2 {
+			t.Error("second future value wrong")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Fatal("the second spawn did not reuse the first one's record")
+	}
+	if !recovered {
+		t.Fatal("second Join did not panic")
+	}
+}

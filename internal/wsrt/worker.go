@@ -6,6 +6,7 @@ import (
 
 	"palirria/internal/deque"
 	"palirria/internal/obs"
+	"palirria/internal/task"
 	"palirria/internal/topo"
 )
 
@@ -54,6 +55,11 @@ type worker struct {
 	// so a LIFO free list bounds allocations by the deepest nesting seen
 	// (owner-only).
 	ctxFree []*Ctx
+	// taskFree recycles spawned task records: Sync puts a record back only
+	// once its child is done, and always on its spawner's list, so the list
+	// is bounded by this worker's peak number of outstanding spawns
+	// (owner-only).
+	taskFree []*rtTask
 	// excluded accumulates, within the innermost running task's window,
 	// time that belongs to someone else: nested runTask spans and search
 	// waits, including those inside inline children, which open no window
@@ -163,6 +169,33 @@ func (w *worker) ctxGet() *Ctx {
 func (w *worker) ctxPut(c *Ctx) {
 	c.pending = c.pending[:0]
 	w.ctxFree = append(w.ctxFree, c)
+}
+
+// taskGet pops a recycled task record, or allocates one, and sets it up
+// as a fresh spawn of fn or gen.
+func (w *worker) taskGet(fn Func, gen task.Builder) *rtTask {
+	n := len(w.taskFree)
+	if n == 0 {
+		return &rtTask{fn: fn, gen: gen}
+	}
+	t := w.taskFree[n-1]
+	w.taskFree = w.taskFree[:n-1]
+	if raceEnabled && !t.done.Load() {
+		panic("wsrt: recycling a task record whose child is not done")
+	}
+	// A plain reset: the done flag read by Sync (or set by the spawner
+	// itself) ordered every earlier access before this one.
+	*t = rtTask{fn: fn, gen: gen}
+	return t
+}
+
+// taskPut returns a joined record to the free list. The caller has seen
+// the child finish: it ran it itself or observed done, which a thief
+// stores only after its last access to the record. The body is dropped,
+// so an idle record keeps nothing of its last child reachable.
+func (w *worker) taskPut(t *rtTask) {
+	t.fn, t.gen = nil, nil
+	w.taskFree = append(w.taskFree, t)
 }
 
 // emit records one structured event. The disabled path is a nil check.
@@ -381,7 +414,7 @@ func (w *worker) runInline(t *rtTask) {
 		panic("wsrt: runInline given a job root")
 	}
 	ctx := w.ctxGet()
-	t.fn(ctx)
+	t.run(ctx)
 	ctx.joinAll()
 	w.ctxPut(ctx)
 	atomic.AddInt64(&w.stats.Tasks, 1)
@@ -420,9 +453,12 @@ func (w *worker) runTask(t *rtTask) {
 	prevExcl := w.excluded
 	w.excluded = 0
 	ctx := w.ctxGet()
-	t.fn(ctx)
+	t.run(ctx)
 	ctx.joinAll()
 	w.ctxPut(ctx)
+	// Once done is published the spawner may recycle t: read the root
+	// hooks first and touch t no more.
+	onDone, onTerm := t.onDone, t.onTerm
 	t.done.Store(true)
 	end := nowNS()
 	w.phaseTS = end
@@ -440,10 +476,10 @@ func (w *worker) runTask(t *rtTask) {
 		w.busy.Store(false)
 		w.excluded = 0
 	}
-	if t.onDone != nil {
-		t.onDone()
+	if onDone != nil {
+		onDone()
 	}
-	if t.onTerm != nil {
-		t.onTerm(true)
+	if onTerm != nil {
+		onTerm(true)
 	}
 }
