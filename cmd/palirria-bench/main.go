@@ -74,10 +74,9 @@ func selectsOutput(fig int, tables bool) bool {
 // trace, and prints the per-worker accounting table.
 func traceRun(wl, path string) error {
 	rep, err := palirria.RunSim(palirria.SimConfig{
-		Workload:   wl,
-		Scheduler:  "palirria",
-		Observe:    true,
-		Introspect: true,
+		Workload:  wl,
+		Scheduler: "palirria",
+		Observe:   true,
 	})
 	if err != nil {
 		return err
@@ -94,7 +93,7 @@ func traceRun(wl, path string) error {
 		return err
 	}
 	fmt.Printf("%s under palirria: %d cycles, %d events, %d estimator snapshots -> %s\n",
-		wl, rep.ExecCycles, len(rep.Obs.Events), len(rep.EstimatorTrace), path)
+		wl, rep.ExecCycles, len(rep.Obs.Events), len(rep.Obs.Snapshots), path)
 	rep.Metrics.WriteTable(os.Stdout)
 	return nil
 }

@@ -39,11 +39,9 @@ func main() {
 		FixedWorkers: *workers,
 		Quantum:      *quantum,
 		Seed:         *seed,
-		TraceCap:     *traceN,
-		Observe:      *traceOut != "",
-		// JSON reports and Chrome traces both carry the estimator
-		// introspection snapshots.
-		Introspect: *asJSON || *traceOut != "",
+		// JSON reports carry the estimator snapshots, Chrome traces and
+		// -trace the events: all three read the one run record.
+		Observe: *asJSON || *traceOut != "" || *traceN > 0,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "palirria-sim:", err)
@@ -67,7 +65,7 @@ func main() {
 		}
 		if !*asJSON {
 			fmt.Printf("trace:         %d events, %d estimator snapshots -> %s\n",
-				len(rep.Obs.Events), len(rep.EstimatorTrace), *traceOut)
+				len(rep.Obs.Events), len(rep.Obs.Snapshots), *traceOut)
 		}
 	}
 	if *asJSON {
@@ -93,8 +91,11 @@ func main() {
 		}
 	}
 	if *traceN > 0 {
-		fmt.Printf("\nlast %d scheduler events:\n", len(rep.Trace))
-		palirria.WriteSimTrace(os.Stdout, rep.Trace)
+		events := rep.Obs.Events[max(0, len(rep.Obs.Events)-*traceN):]
+		fmt.Printf("\nlast %d scheduler events:\n", len(events))
+		for _, ev := range events {
+			fmt.Println(ev)
+		}
 	}
 	if *perWorker {
 		fmt.Println("\nper-worker accounting:")

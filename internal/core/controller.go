@@ -1,8 +1,8 @@
 package core
 
 import (
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 )
 
 // Filter implements the system-level false-positive logic the paper
@@ -81,7 +81,7 @@ type Controller struct {
 	// wasted holds each core's cumulative wasted counter as of its last
 	// Sample; log holds every Recorded quantum.
 	wasted map[topo.CoreID]int64
-	log    trace.Log
+	log    metrics.Log
 }
 
 // StepInfo records the two stages of one quantum's decision: the
@@ -152,14 +152,14 @@ func (c *Controller) Granted(workers int) { c.Est.Granted(workers) }
 // the log.
 func (c *Controller) Record(now int64, granted int) {
 	c.Est.Granted(granted)
-	c.log.Add(trace.Decision{Time: now, Estimator: c.Est.Name(), Desired: c.last.Filtered, Granted: granted})
+	c.log.Add(metrics.Decision{Time: now, Estimator: c.Est.Name(), Desired: c.last.Filtered, Granted: granted})
 }
 
 // Decisions returns the log of Recorded quanta. A nil controller, a run
 // at a fixed allotment, has an empty log.
-func (c *Controller) Decisions() *trace.Log {
+func (c *Controller) Decisions() *metrics.Log {
 	if c == nil {
-		return &trace.Log{}
+		return &metrics.Log{}
 	}
 	return &c.log
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 )
 
 func TestFilterIncreaseImmediate(t *testing.T) {
@@ -118,7 +118,7 @@ func TestControllerStepAndGranted(t *testing.T) {
 	}
 	c.Record(300, 5)
 	ds := c.Decisions().Decisions()
-	want := trace.Decision{Time: 300, Estimator: "fake", Desired: 5, Granted: 5}
+	want := metrics.Decision{Time: 300, Estimator: "fake", Desired: 5, Granted: 5}
 	if len(ds) != 1 || ds[0] != want {
 		t.Fatalf("Decisions = %+v, want [%+v]", ds, want)
 	}

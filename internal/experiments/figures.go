@@ -7,11 +7,11 @@ import (
 	"palirria/internal/asteal"
 	"palirria/internal/core"
 	"palirria/internal/dvs"
+	"palirria/internal/metrics"
 	"palirria/internal/plot"
 	"palirria/internal/saws"
 	"palirria/internal/sim"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 	"palirria/internal/workload"
 )
 
@@ -48,7 +48,7 @@ func FigPerformance(w io.Writer, p Platform, suite []WorkloadRuns) {
 		levels := append([]int(nil), p.FixedSizes...)
 		plot.Timeline(w, "(c) allotment size over time",
 			[]string{"ASTEAL", "Palirria"},
-			[]*trace.Timeline{wr.ASteal.Result.Timeline, wr.Palirria.Result.Timeline},
+			[]*metrics.Timeline{wr.ASteal.Result.Timeline, wr.Palirria.Result.Timeline},
 			levels, 64)
 	}
 }

@@ -1,5 +1,8 @@
-// Package metrics defines the cycle accounting shared by both execution
-// platforms and the derived quantities the paper's evaluation reports.
+// Package metrics defines the run record shared by both execution
+// platforms: the per-worker cycle accounting, the allotment size over time
+// (Figs. 5(c)/7(c)) and the per-quantum estimator decisions, plus the
+// derived quantities the paper's evaluation reports. It imports no other
+// package of the module.
 //
 // Cycle taxonomy (paper §6): "Useful are the cycles spent successfully
 // stealing and processing tasks". We therefore classify compute, spawn and

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-
-	"palirria/internal/core"
-)
+import "palirria/internal/core"
 
 // EstimatorSnapshot is one quantum's complete estimation record: what the
 // estimator saw, what it concluded, and what the system granted.
@@ -60,12 +55,4 @@ func Explain(c *core.Controller, snap *core.Snapshot, granted int) EstimatorSnap
 		es.Workers = in.Workers
 	}
 	return es
-}
-
-// WriteSnapshotsJSON dumps estimator snapshots as an indented JSON array
-// — the "why did the allotment change" record of a run.
-func WriteSnapshotsJSON(w io.Writer, snaps []EstimatorSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snaps)
 }

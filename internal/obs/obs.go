@@ -18,10 +18,11 @@
 //     the actual grant. Estimation decisions become explainable after the
 //     fact instead of being opaque integers.
 //  3. Live metrics. A dependency-free Registry renders Prometheus text
-//     format, and Serve exposes it together with expvar and net/http/pprof
-//     on an opt-in address.
+//     format, and Serve exposes it on /metrics, beside Go's runtime
+//     expvars and net/http/pprof, on an opt-in address.
 //  4. Export. A drained trace serializes to Chrome trace_event JSON
-//     (chrome://tracing, Perfetto) and to a plain JSON introspection dump.
+//     (chrome://tracing, Perfetto); its Snapshots are the estimator_trace
+//     of the simulator's JSON report.
 //
 // Timestamps are int64 ticks: simulator cycles on the simulator, wall
 // nanoseconds on the real runtime. TraceData.TicksPerMicro converts them
@@ -196,13 +197,6 @@ func (t *Tracer) RecordSnapshot(s EstimatorSnapshot) {
 	t.mu.Lock()
 	t.snaps = append(t.snaps, s)
 	t.mu.Unlock()
-}
-
-// Snapshots returns a copy of the recorded estimator snapshots.
-func (t *Tracer) Snapshots() []EstimatorSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]EstimatorSnapshot(nil), t.snaps...)
 }
 
 // Drain collects every ring's pending events, merges them into time

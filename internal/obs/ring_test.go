@@ -181,12 +181,8 @@ func TestTracerSnapshots(t *testing.T) {
 	tr := NewTracer()
 	tr.RecordSnapshot(EstimatorSnapshot{Time: 1, Estimator: "palirria"})
 	tr.RecordSnapshot(EstimatorSnapshot{Time: 2, Estimator: "palirria"})
-	if got := tr.Snapshots(); len(got) != 2 || got[1].Time != 2 {
-		t.Fatalf("Snapshots = %+v", got)
-	}
-	// Drain includes them too.
-	if d := tr.Drain(); len(d.Snapshots) != 2 {
-		t.Fatalf("Drain snapshots = %d, want 2", len(d.Snapshots))
+	if got := tr.Drain().Snapshots; len(got) != 2 || got[1].Time != 2 {
+		t.Fatalf("Drain snapshots = %+v", got)
 	}
 }
 

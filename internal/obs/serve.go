@@ -69,27 +69,3 @@ func (s *Server) URL() string {
 
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.srv.Close() }
-
-// PublishExpvar mirrors the registry into the process-global expvar
-// namespace under the given name (idempotent: repeated calls with a name
-// already published are ignored, since expvar forbids re-registration).
-func PublishExpvar(name string, reg *Registry) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		out := map[string]float64{}
-		reg.mu.Lock()
-		ms := append([]*metric(nil), reg.ms...)
-		reg.mu.Unlock()
-		for _, m := range ms {
-			if m.kind == kindHistogram {
-				out[m.name+m.labels+"_count"] = float64(m.hist.Count())
-				out[m.name+m.labels+"_sum"] = m.hist.Sum()
-				continue
-			}
-			out[m.name+m.labels] = m.value()
-		}
-		return out
-	}))
-}

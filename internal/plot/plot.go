@@ -10,8 +10,8 @@ import (
 	"io"
 	"strings"
 
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 )
 
 // Bar is one labeled value of a bar chart.
@@ -57,7 +57,7 @@ func BarChart(w io.Writer, title string, bars []Bar, width int, format string) {
 // are labeled with single characters (A = first, P = second by
 // convention). Shorter curves denote faster execution and thus better
 // estimation accuracy.
-func Timeline(w io.Writer, title string, names []string, lines []*trace.Timeline, levels []int, width int) {
+func Timeline(w io.Writer, title string, names []string, lines []*metrics.Timeline, levels []int, width int) {
 	if width <= 0 {
 		width = 64
 	}

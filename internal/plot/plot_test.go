@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 )
 
 func TestBarChart(t *testing.T) {
@@ -49,7 +49,7 @@ func TestBarChartAllZero(t *testing.T) {
 }
 
 func TestTimelinePlot(t *testing.T) {
-	var a, p trace.Timeline
+	var a, p metrics.Timeline
 	a.Record(0, 5)
 	a.Record(100, 12)
 	a.Record(400, 12) // no-op
@@ -58,7 +58,7 @@ func TestTimelinePlot(t *testing.T) {
 	p.Record(300, 5)
 	var buf bytes.Buffer
 	Timeline(&buf, "workers", []string{"ASTEAL", "Palirria"},
-		[]*trace.Timeline{&a, &p}, []int{5, 12}, 40)
+		[]*metrics.Timeline{&a, &p}, []int{5, 12}, 40)
 	out := buf.String()
 	for _, want := range []string{"workers", "A=ASTEAL", "P=Palirria", "12 |", "5 |", "*"} {
 		if !strings.Contains(out, want) {
@@ -68,9 +68,9 @@ func TestTimelinePlot(t *testing.T) {
 }
 
 func TestTimelineEmptyCurves(t *testing.T) {
-	var tl trace.Timeline
+	var tl metrics.Timeline
 	var buf bytes.Buffer
-	Timeline(&buf, "t", []string{"x"}, []*trace.Timeline{&tl}, []int{5}, 0)
+	Timeline(&buf, "t", []string{"x"}, []*metrics.Timeline{&tl}, []int{5}, 0)
 	if buf.Len() == 0 {
 		t.Fatal("no output")
 	}

@@ -11,7 +11,6 @@ import (
 	"palirria/internal/sysched"
 	"palirria/internal/task"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 )
 
 // Config describes one single-application simulation run.
@@ -55,17 +54,11 @@ type Config struct {
 	// MaxCycles aborts runaway simulations (default 50e9).
 	MaxCycles int64
 
-	// TraceCap enables the scheduler event trace, keeping the newest
-	// TraceCap events (0 disables tracing unless Observe or Introspect is
-	// set).
-	TraceCap int
-	// Observe enables full observability: the run returns a drained
-	// obs.TraceData ready for Chrome trace export. When TraceCap is 0 the
-	// ring capacity defaults to 1<<16 events.
+	// Observe records the run: Result.Obs holds the newest 1<<16 scheduler
+	// events, ready for Chrome trace export, and with an Estimator one
+	// obs.EstimatorSnapshot per quantum (DMC worker classification, raw vs.
+	// filtered desire, grants).
 	Observe bool
-	// Introspect additionally records a per-quantum obs.EstimatorSnapshot
-	// (DMC worker classification, raw vs. filtered desire, grants).
-	Introspect bool
 }
 
 // Result is the outcome of a single-application run.
@@ -75,21 +68,16 @@ type Result struct {
 	// Workers holds per-core statistics for every core that participated.
 	Workers map[topo.CoreID]*metrics.WorkerStats
 	// Timeline is the allotment size over time.
-	Timeline *trace.Timeline
+	Timeline *metrics.Timeline
 	// Decisions logs every quantum's estimate and grant.
-	Decisions *trace.Log
+	Decisions *metrics.Log
 	// FinalAllotment is the allotment when the workload completed.
 	FinalAllotment *topo.Allotment
 	// Events counts processed simulator events (engine health metric).
 	Events int64
-	// Trace holds the newest scheduler events when tracing was enabled.
-	Trace []obs.Event
-	// Obs is the drained observability trace (nil unless tracing was
-	// enabled); feed it to obs.WriteChrome for a Perfetto-loadable file.
+	// Obs is the drained observability record (nil unless
+	// Config.Observe); its WriteChrome emits a Perfetto-loadable file.
 	Obs *obs.TraceData
-	// EstimatorTrace holds the per-quantum estimator introspection
-	// snapshots (Config.Introspect).
-	EstimatorTrace []obs.EstimatorSnapshot
 }
 
 // Report converts the result to the metrics aggregate.
@@ -143,11 +131,9 @@ type MultiConfig struct {
 	Quantum        int64
 	MaxCycles      int64
 
-	// TraceCap, Observe and Introspect mirror Config's observability
-	// knobs for multiprogrammed runs.
-	TraceCap   int
-	Observe    bool
-	Introspect bool
+	// Observe mirrors Config.Observe; snapshots of every job land in one
+	// record, told apart by their Job field.
+	Observe bool
 }
 
 // JobResult is one job's outcome within a multiprogrammed run.
@@ -157,9 +143,9 @@ type JobResult struct {
 	// StartCycles and FinishCycles bound the job's execution.
 	StartCycles, FinishCycles int64
 	// Timeline is the job's allotment size over time.
-	Timeline *trace.Timeline
+	Timeline *metrics.Timeline
 	// Decisions logs the job's quanta.
-	Decisions *trace.Log
+	Decisions *metrics.Log
 }
 
 // ExecCycles is the job's makespan.
@@ -176,12 +162,9 @@ type MultiResult struct {
 	MakespanCycles int64
 	// Events counts processed simulator events.
 	Events int64
-	// Obs is the drained observability trace (nil unless tracing was
-	// enabled).
+	// Obs is the drained observability record (nil unless
+	// MultiConfig.Observe).
 	Obs *obs.TraceData
-	// EstimatorTrace holds per-quantum introspection snapshots across all
-	// jobs (MultiConfig.Introspect); the Job field tells them apart.
-	EstimatorTrace []obs.EstimatorSnapshot
 }
 
 // slot is the key of one event-queue entry: the next activation of an id —
@@ -299,7 +282,7 @@ type jobState struct {
 	finished bool
 	finishAt int64
 
-	timeline trace.Timeline
+	timeline metrics.Timeline
 }
 
 // newController wraps est for one job; nil when the job has no estimator.
@@ -341,12 +324,11 @@ type engine struct {
 	// consuming memory bandwidth in the NUMA model's ComputeFactor.
 	busy int
 
-	// tracer and ring record scheduler events when enabled; introspect
-	// additionally records per-quantum estimator snapshots. The simulator
-	// is single-threaded, so one keep-newest ring serves every worker.
-	tracer     *obs.Tracer
-	ring       *obs.Ring
-	introspect bool
+	// tracer and ring record scheduler events and per-quantum estimator
+	// snapshots when observed. The simulator is single-threaded, so one
+	// keep-newest ring serves every worker.
+	tracer *obs.Tracer
+	ring   *obs.Ring
 
 	eventCount int64
 
@@ -356,15 +338,11 @@ type engine struct {
 	framesMade int64
 }
 
-// enableObs turns on event tracing (and optionally introspection) with the
-// legacy keep-newest semantics: the newest traceCap events survive.
-func (e *engine) enableObs(traceCap int, introspect bool) {
-	if traceCap <= 0 {
-		traceCap = 1 << 16
-	}
-	e.tracer = obs.NewTracer(obs.WithRingCap(traceCap))
+// observe turns on the run record: the newest events of a default-sized
+// keep-newest ring survive.
+func (e *engine) observe() {
+	e.tracer = obs.NewTracer()
 	e.ring = e.tracer.NewRing(true)
-	e.introspect = introspect
 }
 
 // Run executes a single-application configuration to completion.
@@ -387,8 +365,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if e.tracer != nil {
 		res.Obs = e.tracer.Drain()
-		res.Trace = res.Obs.Events
-		res.EstimatorTrace = res.Obs.Snapshots
 	}
 	return res, nil
 }
@@ -404,8 +380,8 @@ func setup(cfg Config) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TraceCap > 0 || cfg.Observe || cfg.Introspect {
-		e.enableObs(cfg.TraceCap, cfg.Introspect)
+	if cfg.Observe {
+		e.observe()
 	}
 	if cfg.Root == nil {
 		return nil, fmt.Errorf("sim: nil root task")
@@ -474,7 +450,6 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	}
 	if e.tracer != nil {
 		out.Obs = e.tracer.Drain()
-		out.EstimatorTrace = out.Obs.Snapshots
 	}
 	return out, nil
 }
@@ -494,8 +469,8 @@ func setupMulti(cfg MultiConfig) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TraceCap > 0 || cfg.Observe || cfg.Introspect {
-		e.enableObs(cfg.TraceCap, cfg.Introspect)
+	if cfg.Observe {
+		e.observe()
 	}
 	e.arb = sysched.NewArbiter(cfg.Mesh)
 	for i, jc := range cfg.Jobs {
@@ -749,7 +724,7 @@ func (e *engine) quantumTick() {
 			// events, so the Chrome allotment counter needs samples inside
 			// whatever window survives a long run.
 			e.trace(obs.KindGrant, j.source, topo.NoCore, next.Size(), j.name)
-			if e.introspect {
+			if e.tracer != nil {
 				es := obs.Explain(j.ctrl, snap, next.Size())
 				es.Job = j.name
 				e.tracer.RecordSnapshot(es)

@@ -50,7 +50,7 @@ func TestScriptedShrinkDrainsAndRetires(t *testing.T) {
 	est := &scriptedEstimator{script: []int{20, 20, 5, 5}}
 	res := mustRun(t, Config{
 		Mesh: m, Source: src, Root: longRoot(256, 4000),
-		Estimator: est, Quantum: 20000, NoFilter: true, TraceCap: 4096,
+		Estimator: est, Quantum: 20000, NoFilter: true, Observe: true,
 	})
 	retired := 0
 	for _, ws := range res.Workers {
@@ -62,7 +62,7 @@ func TestScriptedShrinkDrainsAndRetires(t *testing.T) {
 		t.Fatal("shrink never retired a worker")
 	}
 	sawRetire := false
-	for _, ev := range res.Trace {
+	for _, ev := range res.Obs.Events {
 		if ev.Kind == obs.KindRetire {
 			sawRetire = true
 		}

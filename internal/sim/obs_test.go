@@ -28,7 +28,7 @@ func TestObserveProducesTraceData(t *testing.T) {
 		Mesh: m, Source: src, Root: stressRoot(),
 		InitialDiaspora: 1, MaxDiaspora: 4,
 		Estimator: core.NewPalirria(), Quantum: 20000,
-		Observe: true, Introspect: true,
+		Observe: true,
 	})
 	if res.Obs == nil {
 		t.Fatal("Observe run returned nil Obs")
@@ -42,11 +42,6 @@ func TestObserveProducesTraceData(t *testing.T) {
 	if res.Obs.TicksPerMicro != 1 {
 		t.Fatalf("TicksPerMicro = %v, want 1 (cycles)", res.Obs.TicksPerMicro)
 	}
-	// The legacy Trace view mirrors the drained events.
-	if len(res.Trace) != len(res.Obs.Events) {
-		t.Fatalf("Trace len %d != Obs.Events len %d", len(res.Trace), len(res.Obs.Events))
-	}
-
 	var buf bytes.Buffer
 	if err := res.Obs.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -84,13 +79,13 @@ func TestIntrospectSnapshots(t *testing.T) {
 		Mesh: m, Source: src, Root: stressRoot(),
 		InitialDiaspora: 1, MaxDiaspora: 4,
 		Estimator: core.NewPalirria(), Quantum: 20000,
-		Introspect: true,
+		Observe: true,
 	})
-	if len(res.EstimatorTrace) == 0 {
+	if len(res.Obs.Snapshots) == 0 {
 		t.Fatal("no estimator snapshots from an adaptive run")
 	}
 	sawClass := false
-	for _, es := range res.EstimatorTrace {
+	for _, es := range res.Obs.Snapshots {
 		if es.Estimator != "palirria" {
 			t.Fatalf("estimator = %q", es.Estimator)
 		}
@@ -119,12 +114,12 @@ func TestIntrospectSnapshots(t *testing.T) {
 		Mesh: m, Source: src, Root: stressRoot(),
 		InitialDiaspora: 1, MaxDiaspora: 4,
 		Estimator: asteal.New(), Quantum: 20000,
-		Introspect: true,
+		Observe: true,
 	})
-	if len(res.EstimatorTrace) == 0 {
+	if len(res.Obs.Snapshots) == 0 {
 		t.Fatal("no ASTEAL snapshots")
 	}
-	for _, es := range res.EstimatorTrace {
+	for _, es := range res.Obs.Snapshots {
 		if es.Estimator != "asteal" {
 			t.Fatalf("estimator = %q", es.Estimator)
 		}
@@ -164,7 +159,6 @@ func BenchmarkRunTraceDisabled(b *testing.B) {
 func BenchmarkRunTraceEnabled(b *testing.B) {
 	cfg, root := benchConfig()
 	cfg.Observe = true
-	cfg.Introspect = true
 	for i := 0; i < b.N; i++ {
 		cfg.Root = root()
 		if _, err := Run(cfg); err != nil {
@@ -183,7 +177,7 @@ func TestMultiObserve(t *testing.T) {
 			{Name: "left", Source: 20, Root: stressRoot(), Estimator: core.NewPalirria()},
 			{Name: "right", Source: 27, Root: stressRoot(), Estimator: core.NewPalirria()},
 		},
-		Quantum: 20000, Observe: true, Introspect: true,
+		Quantum: 20000, Observe: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +186,7 @@ func TestMultiObserve(t *testing.T) {
 		t.Fatal("no observability data from multi run")
 	}
 	jobs := map[string]bool{}
-	for _, es := range res.EstimatorTrace {
+	for _, es := range res.Obs.Snapshots {
 		jobs[es.Job] = true
 	}
 	if !jobs["left"] || !jobs["right"] {

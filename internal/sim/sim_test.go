@@ -530,18 +530,15 @@ func TestPropertyRandomTreesConserveWork(t *testing.T) {
 func TestEventTrace(t *testing.T) {
 	m, src := simMesh()
 	res := mustRun(t, Config{
-		Mesh: m, Source: src, Root: fibRoot(10), InitialDiaspora: 2, TraceCap: 256,
+		Mesh: m, Source: src, Root: fibRoot(10), InitialDiaspora: 2, Observe: true,
 	})
-	if len(res.Trace) == 0 {
+	if res.Obs == nil || len(res.Obs.Events) == 0 {
 		t.Fatal("no trace events")
-	}
-	if len(res.Trace) > 256 {
-		t.Fatalf("trace exceeded cap: %d", len(res.Trace))
 	}
 	// Chronological order and at least one steal recorded.
 	sawSteal := false
 	prev := int64(-1)
-	for _, ev := range res.Trace {
+	for _, ev := range res.Obs.Events {
 		if ev.TS < prev {
 			t.Fatalf("trace out of order at %v", ev)
 		}
@@ -561,7 +558,7 @@ func TestEventTrace(t *testing.T) {
 	}
 	// Disabled by default.
 	res2 := mustRun(t, Config{Mesh: m, Source: src, Root: fibRoot(8), InitialDiaspora: 1})
-	if len(res2.Trace) != 0 {
+	if res2.Obs != nil {
 		t.Fatal("trace recorded while disabled")
 	}
 }

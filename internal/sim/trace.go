@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"io"
-
 	"palirria/internal/obs"
 	"palirria/internal/topo"
 )
@@ -20,11 +17,4 @@ func (e *engine) trace(kind obs.Kind, w, peer topo.CoreID, arg int, label string
 		Worker: int32(w), Peer: int32(peer),
 		Arg: int64(arg), Label: label,
 	})
-}
-
-// WriteTrace renders events to w, one per line.
-func WriteTrace(w io.Writer, events []obs.Event) {
-	for _, ev := range events {
-		fmt.Fprintln(w, ev.String())
-	}
 }

@@ -73,9 +73,7 @@ func (r *Runtime) quantum() {
 			TS: ts, Kind: obs.KindGrant,
 			Worker: obs.NoWorker, Peer: obs.NoWorker, Arg: int64(next.Size()),
 		})
-		if r.cfg.Introspect {
-			r.cfg.Tracer.RecordSnapshot(obs.Explain(r.ctrl, snap, next.Size()))
-		}
+		r.cfg.Tracer.RecordSnapshot(obs.Explain(r.ctrl, snap, next.Size()))
 	}
 	if !changed {
 		return

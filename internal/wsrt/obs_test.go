@@ -30,8 +30,9 @@ func fanRoot(c *Ctx) {
 }
 
 // TestRuntimeTracerAndMetrics drives the real runtime with the full
-// observability stack: structured tracing, estimator introspection, and
-// the Prometheus registry, and cross-checks them against the run report.
+// observability stack: structured tracing, estimator introspection (which
+// a Tracer on a runtime with an estimator implies), and the Prometheus
+// registry, and cross-checks them against the run report.
 func TestRuntimeTracerAndMetrics(t *testing.T) {
 	tracer := obs.NewTracer(obs.WithTicksPerMicro(1000))
 	reg := obs.NewRegistry()
@@ -39,7 +40,7 @@ func TestRuntimeTracerAndMetrics(t *testing.T) {
 		Mesh: smallMesh(t), Source: 0,
 		Estimator: core.NewPalirria(),
 		Quantum:   500 * time.Microsecond,
-		Tracer:    tracer, Introspect: true, Metrics: reg,
+		Tracer:    tracer, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestRuntimeTracerAndMetrics(t *testing.T) {
 		t.Errorf("done events (%d) + dropped (%d) < tasks run (%d)", counts[obs.KindTaskDone], data.Dropped, totalTasks)
 	}
 	if len(data.Snapshots) == 0 {
-		t.Fatal("no estimator snapshots recorded")
+		t.Fatal("no estimator snapshots recorded: a Tracer plus an Estimator must record them")
 	}
 	for _, es := range data.Snapshots {
 		if es.Estimator != "palirria" {

@@ -33,10 +33,10 @@ import (
 	"time"
 
 	"palirria/internal/core"
+	"palirria/internal/metrics"
 	"palirria/internal/obs"
 	"palirria/internal/sysched"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 )
 
 // Func is a task body. The Ctx is only valid for the duration of the call.
@@ -102,14 +102,12 @@ type Config struct {
 	Pin bool
 
 	// Tracer enables structured event tracing: every worker gets its own
-	// drop-newest ring (safe under concurrent draining). Create it with
-	// obs.NewTracer(obs.WithTicksPerMicro(1000)) — timestamps are wall
+	// drop-newest ring (safe under concurrent draining), and with an
+	// Estimator every quantum records an obs.EstimatorSnapshot. Create it
+	// with obs.NewTracer(obs.WithTicksPerMicro(1000)) — timestamps are wall
 	// nanoseconds relative to Run's start. Nil disables tracing; the
 	// disabled hot path is one nil comparison per event site.
 	Tracer *obs.Tracer
-	// Introspect records a per-quantum obs.EstimatorSnapshot into Tracer
-	// (requires Tracer and an Estimator).
-	Introspect bool
 	// Metrics registers the runtime's live counters and gauges (steals,
 	// failed probes, tasks, allotment size, parked waiters, wakeups,
 	// per-worker useful/search/idle time) on the registry; serve it with
@@ -162,9 +160,9 @@ type Report struct {
 	// Workers maps cores to per-worker reports.
 	Workers map[topo.CoreID]*WorkerReport
 	// Timeline is the allotment size over time (nanoseconds).
-	Timeline *trace.Timeline
+	Timeline *metrics.Timeline
 	// Decisions logs the estimator's quanta.
-	Decisions *trace.Log
+	Decisions *metrics.Log
 	// MaxWorkers is the peak allotment size.
 	MaxWorkers int
 }
@@ -226,7 +224,7 @@ type Runtime struct {
 
 	gate gate
 
-	timeline trace.Timeline
+	timeline metrics.Timeline
 	tlMu     sync.Mutex
 	startNS  int64
 

@@ -30,7 +30,7 @@
 //	})
 //
 // Lower-level control is available through the aliased subsystem types
-// below (Mesh, Allotment, TaskSpec, SimRunConfig, ...).
+// below (Mesh, Allotment, TaskSpec, SimMultiConfig, RTConfig, ...).
 package palirria
 
 import (
@@ -45,13 +45,11 @@ import (
 	"palirria/internal/metrics"
 	"palirria/internal/obs"
 	"palirria/internal/plot"
-	"palirria/internal/saws"
 	"palirria/internal/serve"
 	"palirria/internal/sim"
 	"palirria/internal/sysched"
 	"palirria/internal/task"
 	"palirria/internal/topo"
-	"palirria/internal/trace"
 	"palirria/internal/workload"
 	"palirria/internal/wsrt"
 )
@@ -99,9 +97,6 @@ type MetricsReport = metrics.Report
 // Chrome trace_event JSON for chrome://tracing and Perfetto.
 type ObsTrace = obs.TraceData
 
-// EstimatorSnapshot is one quantum's estimator introspection record.
-type EstimatorSnapshot = obs.EstimatorSnapshot
-
 // ObsTracer is the structured event tracer shared by both runtimes; see
 // NewObsTracer.
 type ObsTracer = obs.Tracer
@@ -129,16 +124,7 @@ func ServeObs(addr string, reg *ObsRegistry) (*ObsServer, error) {
 }
 
 // Timeline is the allotment-size-over-time trace.
-type Timeline = trace.Timeline
-
-// SimRunConfig is the full low-level simulator configuration.
-type SimRunConfig = sim.Config
-
-// SimResult is the raw simulator outcome.
-type SimResult = sim.Result
-
-// SimCosts is the runtime cost model of the simulator.
-type SimCosts = sim.Costs
+type Timeline = metrics.Timeline
 
 // NewMesh builds a mesh topology with the given extents (1-3 dimensions).
 func NewMesh(dims ...int) (*Mesh, error) { return topo.NewMesh(dims...) }
@@ -157,10 +143,6 @@ func NewPalirria() Estimator { return core.NewPalirria() }
 // NewASteal returns the ASTEAL baseline estimator.
 func NewASteal() Estimator { return asteal.New() }
 
-// NewSAWS returns the sampling-based queue estimator after Cao et al.
-// (HPCC 2011), the third estimator family the paper discusses.
-func NewSAWS(seed uint64) Estimator { return saws.New(seed) }
-
 // Task DSL constructors, re-exported for custom workloads.
 var (
 	// Compute returns a compute op of w cycles.
@@ -173,8 +155,6 @@ var (
 	Sync = task.Sync
 	// Leaf returns a compute-only task.
 	Leaf = task.Leaf
-	// SpawnJoin builds the common fan-out/join pattern.
-	SpawnJoin = task.SpawnJoin
 )
 
 // Workloads returns the names of the built-in workloads.
@@ -205,9 +185,6 @@ func platformOf(name string) (experiments.Platform, error) {
 	}
 	return experiments.Platform{}, fmt.Errorf("palirria: unknown platform %q (sim32, numa48)", name)
 }
-
-// SimRun executes a fully custom simulator configuration.
-func SimRun(cfg SimRunConfig) (*SimResult, error) { return sim.Run(cfg) }
 
 // SimJob describes one application of a multiprogrammed simulation.
 type SimJob = sim.Job
@@ -245,23 +222,6 @@ type RTJob = wsrt.Job
 
 // NewRuntime builds a real-threads work-stealing runtime.
 func NewRuntime(cfg RTConfig) (*RTRuntime, error) { return wsrt.New(cfg) }
-
-// SpecTask adapts a task tree to the real runtime.
-func SpecTask(s *TaskSpec) RTFunc { return wsrt.SpecFunc(s) }
-
-// RTFuture is a typed future over the WOOL spawn/sync discipline; see
-// GoRT. Futures join in LIFO order (youngest first).
-type RTFuture[T any] struct{ inner *wsrt.Future[T] }
-
-// GoRT spawns fn as a stealable task on the real runtime and returns a
-// future for its result.
-func GoRT[T any](c *RTCtx, fn func(*RTCtx) T) RTFuture[T] {
-	return RTFuture[T]{inner: wsrt.Go(c, fn)}
-}
-
-// Join waits for (or inlines) the computation and returns its value. It
-// must be called in LIFO order among the task's outstanding spawns.
-func (f RTFuture[T]) Join(c *RTCtx) T { return f.inner.Join(c) }
 
 // Real-runtime sentinel errors, re-exported for callers of the facade
 // (internal/wsrt is unimportable from outside the module).
@@ -372,14 +332,10 @@ type SimConfig struct {
 	Quantum int64
 	// Seed drives random victim selection.
 	Seed uint64
-	// TraceCap enables the scheduler event trace (0 = off).
-	TraceCap int
-	// Observe enables full observability: Report.Obs holds the drained
-	// trace, exportable as Chrome trace JSON.
+	// Observe records the run into Report.Obs: the newest 1<<16 scheduler
+	// events (exportable as Chrome trace JSON) and, under an adaptive
+	// scheduler, one estimator snapshot per quantum.
 	Observe bool
-	// Introspect records per-quantum estimator snapshots into
-	// Report.EstimatorTrace.
-	Introspect bool
 }
 
 // Report is the high-level outcome of a run.
@@ -400,15 +356,11 @@ type Report struct {
 	Timeline *Timeline
 	// Workers holds the per-core statistics.
 	Workers map[CoreID]*WorkerStats
-	// Trace holds scheduler events when SimConfig.TraceCap > 0.
-	Trace []SimTraceEvent
 	// Metrics is the aggregated accounting with the shared table renderer.
 	Metrics *MetricsReport
-	// Obs is the drained observability trace (SimConfig.Observe).
+	// Obs is the run's event and estimator-snapshot record (nil unless
+	// SimConfig.Observe).
 	Obs *ObsTrace
-	// EstimatorTrace holds the per-quantum estimator introspection
-	// snapshots (SimConfig.Introspect).
-	EstimatorTrace []EstimatorSnapshot
 }
 
 // RunSim executes the high-level configuration on the simulator.
@@ -436,7 +388,7 @@ func RunSim(cfg SimConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc.TraceCap, rc.Observe, rc.Introspect = cfg.TraceCap, cfg.Observe, cfg.Introspect
+	rc.Observe = cfg.Observe
 	run, err := experiments.RunConfig(rc)
 	if err != nil {
 		return nil, err
@@ -452,10 +404,8 @@ func RunSim(cfg SimConfig) (*Report, error) {
 		Tasks:               rep.TotalTasks,
 		Timeline:            res.Timeline,
 		Workers:             res.Workers,
-		Trace:               res.Trace,
 		Metrics:             rep,
 		Obs:                 res.Obs,
-		EstimatorTrace:      res.EstimatorTrace,
 	}, nil
 }
 
@@ -470,7 +420,7 @@ type reportJSON struct {
 	Tasks               int64                   `json:"tasks"`
 	Timeline            []timelinePointJSON     `json:"timeline"`
 	Workers             map[int]workerJSON      `json:"workers"`
-	EstimatorTrace      []obs.EstimatorSnapshot `json:"estimator_trace,omitempty"`
+	EstimatorSnapshots  []obs.EstimatorSnapshot `json:"estimator_trace,omitempty"`
 }
 
 type timelinePointJSON struct {
@@ -524,12 +474,8 @@ func (r *Report) JSON() ([]byte, error) {
 			Cycles:       cycles,
 		}
 	}
-	out.EstimatorTrace = r.EstimatorTrace
+	if r.Obs != nil {
+		out.EstimatorSnapshots = r.Obs.Snapshots
+	}
 	return json.MarshalIndent(out, "", "  ")
 }
-
-// SimTraceEvent is one scheduler trace event.
-type SimTraceEvent = obs.Event
-
-// WriteSimTrace renders trace events, one per line.
-func WriteSimTrace(w io.Writer, events []SimTraceEvent) { sim.WriteTrace(w, events) }

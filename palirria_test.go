@@ -122,22 +122,29 @@ func TestWorkloadsList(t *testing.T) {
 	}
 }
 
-func TestGoRTFuture(t *testing.T) {
-	mesh, _ := NewMesh(4, 2)
-	rt, err := NewRuntime(RTConfig{Mesh: mesh, InitialDiaspora: 10})
+// TestRunSimObserve checks the one observation switch: with Observe a run
+// keeps the full event ring and the estimator's per-quantum snapshots;
+// without it there is no record at all.
+func TestRunSimObserve(t *testing.T) {
+	rep, err := RunSim(SimConfig{Workload: "fib", Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got int
-	_, err = rt.Run(func(c *RTCtx) {
-		f := GoRT(c, func(cc *RTCtx) int { return 21 })
-		got = f.Join(c) * 2
-	})
+	if rep.Obs == nil {
+		t.Fatal("Observe run has no Obs record")
+	}
+	if got := len(rep.Obs.Events); got != 1<<16 {
+		t.Fatalf("len(Obs.Events) = %d, want the full ring of %d", got, 1<<16)
+	}
+	if len(rep.Obs.Snapshots) == 0 {
+		t.Fatal("Observe run under palirria recorded no estimator snapshots")
+	}
+	rep, err = RunSim(SimConfig{Workload: "fib"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 42 {
-		t.Fatalf("got = %d", got)
+	if rep.Obs != nil {
+		t.Fatalf("unobserved run has an Obs record (%d events)", len(rep.Obs.Events))
 	}
 }
 

@@ -24,11 +24,11 @@ func TestReportJSONGolden(t *testing.T) {
 		cfg    SimConfig
 	}{
 		{"report_fib.json", SimConfig{
-			Workload:   "fib",
-			Scheduler:  "palirria",
-			Quantum:    200_000, // few quanta keep the golden file small
-			Seed:       9,
-			Introspect: true,
+			Workload:  "fib",
+			Scheduler: "palirria",
+			Quantum:   200_000, // few quanta keep the golden file small
+			Seed:      9,
+			Observe:   true,
 		}},
 		// wool at its default size: the platform's largest fixed size.
 		{"report_skew_wool_sim32.json", SimConfig{
@@ -86,7 +86,7 @@ func TestReportJSONGolden(t *testing.T) {
 // TestReportJSONShape spot-checks the fields downstream tools rely on,
 // independent of the golden bytes.
 func TestReportJSONShape(t *testing.T) {
-	rep, err := RunSim(SimConfig{Workload: "fib", Quantum: 200_000, Introspect: true})
+	rep, err := RunSim(SimConfig{Workload: "fib", Quantum: 200_000, Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReportJSONShape(t *testing.T) {
 			FailedProbes int64            `json:"failed_probes"`
 			Cycles       map[string]int64 `json:"cycles"`
 		} `json:"workers"`
-		EstimatorTrace []struct {
+		Snapshots []struct {
 			Estimator string `json:"estimator"`
 			Decision  string `json:"decision"`
 			Workers   []struct {
@@ -127,10 +127,10 @@ func TestReportJSONShape(t *testing.T) {
 			t.Fatalf("worker %s cycle categories sum to %d, total is %d", id, sum, w.Total)
 		}
 	}
-	if len(out.EstimatorTrace) == 0 {
-		t.Fatal("no estimator snapshots despite Introspect")
+	if len(out.Snapshots) == 0 {
+		t.Fatal("no estimator snapshots despite Observe")
 	}
-	for _, s := range out.EstimatorTrace {
+	for _, s := range out.Snapshots {
 		if s.Estimator != "palirria" {
 			t.Fatalf("snapshot estimator = %q", s.Estimator)
 		}
