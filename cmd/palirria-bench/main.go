@@ -2,6 +2,8 @@
 //
 // Usage:
 //
+//	palirria-bench -fig 1            # the 41-worker classification illustration
+//	palirria-bench -fig 2            # three co-scheduled applications
 //	palirria-bench -fig 3            # DVS flow arrows
 //	palirria-bench -fig 4            # workload input table
 //	palirria-bench -fig 5            # simulator performance (a/b/c)
@@ -13,10 +15,10 @@
 //	palirria-bench -ablations        # quantum/L/victim/filter/overhead
 //	palirria-bench -multiprog        # multiprogrammed co-scheduling extension
 //	palirria-bench -all              # everything above
-//	palirria-bench -trace-out /tmp/fib.json -trace-workload fib
 //
 // The runtime's performance numbers come from bench/ (bash bench/run.sh);
-// the chaos suite runs from go test ./internal/chaos.
+// the chaos suite runs from go test ./internal/chaos; a traced simulator
+// run comes from palirria-sim -trace-out.
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"os"
 	"time"
 
-	"palirria"
 	"palirria/internal/experiments"
 )
 
@@ -37,17 +38,8 @@ func main() {
 	seeds := flag.Int("seeds", 1, "seeds per configuration; >1 reports the second-best run (the paper ran 10)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations")
 	all := flag.Bool("all", false, "regenerate everything")
-	traceOut := flag.String("trace-out", "", "trace one simulator run to a Chrome trace_event JSON file and exit")
-	traceWL := flag.String("trace-workload", "fib", "workload for -trace-out")
 	flag.Parse()
 
-	if *traceOut != "" {
-		if err := traceRun(*traceWL, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "palirria-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if !selectsOutput(*fig, *all || *summary || *ablations || *multiprog) {
 		flag.Usage()
 		os.Exit(2)
@@ -67,35 +59,6 @@ func selectsOutput(fig int, tables bool) bool {
 		return tables
 	}
 	return 1 <= fig && fig <= 9
-}
-
-// traceRun executes one palirria-scheduled simulator run of the named
-// workload with tracing and estimator introspection on, writes the Chrome
-// trace, and prints the per-worker accounting table.
-func traceRun(wl, path string) error {
-	rep, err := palirria.RunSim(palirria.SimConfig{
-		Workload:  wl,
-		Scheduler: "palirria",
-		Observe:   true,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.Obs.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("%s under palirria: %d cycles, %d events, %d estimator snapshots -> %s\n",
-		wl, rep.ExecCycles, len(rep.Obs.Events), len(rep.Obs.Snapshots), path)
-	rep.Metrics.WriteTable(os.Stdout)
-	return nil
 }
 
 // run prints the selected figures and tables to out.

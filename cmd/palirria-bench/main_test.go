@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/all.golde
 // TestRunStaticFigures exercises the cheap figure paths end to end (the
 // suite-driving paths are covered by the experiments package tests).
 func TestRunStaticFigures(t *testing.T) {
-	for _, fig := range []int{1, 2, 4, 9} {
+	for _, fig := range []int{1, 2, 3, 4, 9} {
 		if err := run(io.Discard, fig, false, false, false, false, 1); err != nil {
 			t.Fatalf("fig %d: %v", fig, err)
 		}

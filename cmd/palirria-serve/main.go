@@ -36,7 +36,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -138,7 +137,7 @@ type server struct {
 }
 
 func newServer(opts options) (*server, error) {
-	dims, err := parseMesh(opts.mesh)
+	dims, err := topo.ParseMesh(opts.mesh)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +184,7 @@ func newServer(opts options) (*server, error) {
 		s.cfg.Pools = append(s.cfg.Pools, p)
 	}
 	if len(names) > 1 {
-		mdims, err := parseMesh(opts.machine)
+		mdims, err := topo.ParseMesh(opts.machine)
 		if err != nil {
 			s.close()
 			return nil, err
@@ -280,23 +279,6 @@ func (s *server) close() {
 			fmt.Fprintln(os.Stderr, "palirria-serve: event log:", err)
 		}
 	}
-}
-
-// parseMesh turns "4x4" or "8x4x2" into mesh extents.
-func parseMesh(s string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(strings.TrimSpace(s)), "x")
-	if len(parts) < 1 || len(parts) > 3 {
-		return nil, fmt.Errorf("bad mesh %q: want DXxDY or DXxDYxDZ", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad mesh %q: dimension %q", s, p)
-		}
-		dims[i] = v
-	}
-	return dims, nil
 }
 
 func splitTenants(s string) []string {

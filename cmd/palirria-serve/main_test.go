@@ -26,41 +26,6 @@ func testOptions() options {
 	}
 }
 
-func TestParseMesh(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []int
-		ok   bool
-	}{
-		{"4x4", []int{4, 4}, true},
-		{"8x4x2", []int{8, 4, 2}, true},
-		{"16", []int{16}, true},
-		{" 4X4 ", []int{4, 4}, true},
-		{"", nil, false},
-		{"4x0", nil, false},
-		{"axb", nil, false},
-		{"1x2x3x4", nil, false},
-	} {
-		got, err := parseMesh(tc.in)
-		if tc.ok != (err == nil) {
-			t.Errorf("parseMesh(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if !tc.ok {
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("parseMesh(%q) = %v, want %v", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("parseMesh(%q) = %v, want %v", tc.in, got, tc.want)
-			}
-		}
-	}
-}
-
 func TestServerMultiTenant(t *testing.T) {
 	opts := testOptions()
 	opts.tenants = "web, batch,web" // duplicate and whitespace are cleaned
@@ -158,6 +123,22 @@ func TestServerSinkSpec(t *testing.T) {
 		if s, err := newServer(opts); err == nil {
 			s.close()
 			t.Errorf("-sink %q accepted, want a startup error", spec)
+		}
+	}
+}
+
+// TestServerMeshSpec: a malformed -mesh, or -machine with several
+// tenants, fails at startup.
+func TestServerMeshSpec(t *testing.T) {
+	for _, bad := range []func(*options){
+		func(o *options) { o.mesh = "axb" },
+		func(o *options) { o.tenants, o.machine = "web,batch", "8x0" },
+	} {
+		opts := testOptions()
+		bad(&opts)
+		if s, err := newServer(opts); err == nil {
+			s.close()
+			t.Errorf("mesh %q / machine %q accepted, want a startup error", opts.mesh, opts.machine)
 		}
 	}
 }

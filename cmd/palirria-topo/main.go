@@ -1,12 +1,10 @@
-// palirria-topo visualizes mesh topologies, allotments and their DVS
-// classification (the paper's Figs. 1, 2 and 9), and — with -cluster —
-// the live gossip view of a running Palirria cluster.
+// palirria-topo renders the DVS classification of a custom mesh and
+// allotment, and — with -cluster — the live gossip view of a running
+// Palirria cluster. The paper's topology figures (1, 2, 3, 9) come from
+// palirria-bench -fig N.
 //
 // Usage:
 //
-//	palirria-topo -fig 1              # the paper's 41-worker illustration
-//	palirria-topo -fig 2              # three co-scheduled applications
-//	palirria-topo -fig 9              # the evaluation allotments
 //	palirria-topo -dims 8x6 -source 28 -d 3   # custom classification
 //	palirria-topo -dims 8x6 -source 28 -series # allotment size series
 //	palirria-topo -cluster http://localhost:8070  # gossip membership table
@@ -24,13 +22,11 @@ import (
 	"time"
 
 	"palirria/internal/cluster"
-	"palirria/internal/experiments"
 	"palirria/internal/plot"
 	"palirria/internal/topo"
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "render a paper figure (1, 2, 3, 9)")
 	dims := flag.String("dims", "8x4", "mesh dimensions, e.g. 8, 8x4, 4x4x4")
 	source := flag.Int("source", 20, "source core id")
 	d := flag.Int("d", 2, "diaspora")
@@ -46,7 +42,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*fig, *dims, *source, *d, *reserved, *series); err != nil {
+	if err := run(*dims, *source, *d, *reserved, *series); err != nil {
 		fmt.Fprintln(os.Stderr, "palirria-topo:", err)
 		os.Exit(1)
 	}
@@ -86,29 +82,12 @@ func runCluster(base string, w io.Writer) error {
 	return tw.Flush()
 }
 
-func run(fig int, dims string, source, d int, reserved string, series bool) error {
-	switch fig {
-	case 1:
-		return experiments.Fig1(os.Stdout)
-	case 2:
-		return experiments.Fig2(os.Stdout)
-	case 3:
-		return experiments.Fig3(os.Stdout)
-	case 9:
-		return experiments.Fig9(os.Stdout)
-	case 0:
-		// custom rendering below
-	default:
-		return fmt.Errorf("unknown figure %d (have 1, 2, 3, 9)", fig)
-	}
-
-	var extents []int
-	for _, part := range strings.Split(dims, "x") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad dims %q: %w", dims, err)
-		}
-		extents = append(extents, v)
+// run renders the classification of the allotment at source with
+// diaspora d on the dims mesh, or with series its size per diaspora.
+func run(dims string, source, d int, reserved string, series bool) error {
+	extents, err := topo.ParseMesh(dims)
+	if err != nil {
+		return err
 	}
 	m, err := topo.NewMesh(extents...)
 	if err != nil {

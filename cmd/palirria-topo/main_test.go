@@ -9,40 +9,29 @@ import (
 	"testing"
 )
 
-func TestRunFigures(t *testing.T) {
-	for _, fig := range []int{1, 2, 3, 9} {
-		if err := run(fig, "", 0, 0, "", false); err != nil {
-			t.Fatalf("fig %d: %v", fig, err)
-		}
-	}
-	if err := run(7, "", 0, 0, "", false); err == nil {
-		t.Fatal("unknown figure must fail")
-	}
-}
-
 func TestRunCustomGrid(t *testing.T) {
-	if err := run(0, "8x4", 20, 2, "0,1", false); err != nil {
+	if err := run("8x4", 20, 2, "0,1", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(0, "4x4x4", 21, 2, "", false); err != nil {
+	if err := run("4x4x4", 21, 2, "", false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSeries(t *testing.T) {
-	if err := run(0, "8x6", 28, 0, "0,1,2", true); err != nil {
+	if err := run("8x6", 28, 0, "0,1,2", true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadInput(t *testing.T) {
-	if err := run(0, "axb", 0, 1, "", false); err == nil {
+	if err := run("axb", 0, 1, "", false); err == nil {
 		t.Fatal("bad dims must fail")
 	}
-	if err := run(0, "8x4", 20, 1, "x", false); err == nil {
+	if err := run("8x4", 20, 1, "x", false); err == nil {
 		t.Fatal("bad reserved list must fail")
 	}
-	if err := run(0, "8x4", 99, 1, "", false); err == nil {
+	if err := run("8x4", 99, 1, "", false); err == nil {
 		t.Fatal("invalid source must fail")
 	}
 }

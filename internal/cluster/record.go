@@ -51,10 +51,10 @@ type Record struct {
 	// round; a record only supersedes a stored one when newer.
 	Heartbeat uint64 `json:"heartbeat"`
 
-	// The load signal, sampled from serve.Pool.Snapshot (summed across a
+	// The load signal, sampled from serve.Pool.Stats (summed across a
 	// node's pools). Desire is the filtered Palirria desire, Allotment the
 	// granted workers, Spare the grantable headroom (mesh capacity minus
-	// desire — see serve.Snapshot for why capacity, not the granted
+	// desire — see serve.Stats.Spare for why capacity, not the granted
 	// allotment, is the A term of the A−D signal).
 	Desire    int `json:"desire"`
 	Allotment int `json:"allotment"`

@@ -22,7 +22,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 }
 
 func BenchmarkEmitEnabled(b *testing.B) {
-	tr := NewTracer(WithRingCap(1 << 16))
+	tr := NewTracer()
 	r := tr.NewRing(true) // overwrite: steady-state emit cost, no drops
 	ev := Event{Kind: KindSpawn, Worker: 1, Peer: NoWorker, Arg: 3}
 	b.ReportAllocs()
@@ -33,7 +33,7 @@ func BenchmarkEmitEnabled(b *testing.B) {
 }
 
 func BenchmarkRingEmitDrain(b *testing.B) {
-	tr := NewTracer(WithRingCap(1 << 10))
+	tr := newTestTracer(1 << 10)
 	r := tr.NewRing(false)
 	done := make(chan struct{})
 	go func() {

@@ -55,7 +55,7 @@ func checkChromeValid(t *testing.T, data []byte) {
 }
 
 func TestWriteChromeBasic(t *testing.T) {
-	tr := NewTracer(WithRingCap(64))
+	tr := newTestTracer(64)
 	r := tr.NewRing(false)
 	tr.SetWorkerName(3, "worker 3 (0,3)")
 	r.Emit(Event{TS: 100, Kind: KindSpawn, Worker: 3, Peer: NoWorker, Arg: 2, Label: "fib(7)"})
@@ -108,7 +108,7 @@ func TestWriteChromeEmpty(t *testing.T) {
 }
 
 func TestWriteChromeTicksPerMicro(t *testing.T) {
-	tr := NewTracer(WithRingCap(8))
+	tr := newTestTracer(8)
 	r := tr.NewRing(false)
 	r.Emit(Event{TS: 5000, Kind: KindTaskDone, Worker: 0})
 	d := tr.Drain()
@@ -140,7 +140,7 @@ func FuzzWriteChrome(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0})
 	f.Add([]byte{7, 255, 255, 3, 9, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := NewTracer(WithRingCap(256))
+		tr := newTestTracer(256)
 		rings := map[int32]*Ring{}
 		var ts int64
 		// Decode the fuzz input as a packed event stream: each event is

@@ -134,6 +134,8 @@ func (ev Event) String() string {
 // emission starts); registration and snapshot recording take a mutex,
 // event emission never does.
 type Tracer struct {
+	// ringCap is every ring's event capacity (1<<16, rounded up to a
+	// power of two by newRing); the package's tests shrink it.
 	ringCap       int
 	ticksPerMicro float64
 
@@ -145,12 +147,6 @@ type Tracer struct {
 
 // Option configures a Tracer.
 type Option func(*Tracer)
-
-// WithRingCap sets the per-ring event capacity (rounded up to a power of
-// two; default 1<<16).
-func WithRingCap(n int) Option {
-	return func(t *Tracer) { t.ringCap = n }
-}
 
 // WithTicksPerMicro sets the tick-to-microsecond conversion of drained
 // traces (1 for simulator cycles, 1000 for wall nanoseconds).

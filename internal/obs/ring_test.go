@@ -81,7 +81,7 @@ func TestTracerConcurrentStress(t *testing.T) {
 		perWorker     = 20000
 		smallRingSize = 256 // force drops to exercise the full protocol
 	)
-	tr := NewTracer(WithRingCap(smallRingSize))
+	tr := newTestTracer(smallRingSize)
 	rings := make([]*Ring, workers)
 	for i := range rings {
 		rings[i] = tr.NewRing(false)
@@ -158,8 +158,15 @@ func TestTracerConcurrentStress(t *testing.T) {
 	}
 }
 
+// newTestTracer is NewTracer with every ring sized to ringCap events.
+func newTestTracer(ringCap int) *Tracer {
+	tr := NewTracer()
+	tr.ringCap = ringCap
+	return tr
+}
+
 func TestTracerDrainMerges(t *testing.T) {
-	tr := NewTracer(WithRingCap(16))
+	tr := newTestTracer(16)
 	a := tr.NewRing(false)
 	b := tr.NewRing(false)
 	a.Emit(Event{TS: 10, Worker: 0})

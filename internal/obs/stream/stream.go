@@ -49,8 +49,9 @@ const (
 	// KindRouted: the router steered a submission to Node (Arg is the
 	// batch size, Detail the sticky key when one applied).
 	KindRouted
-	// KindFailover: an attempt against Node failed and the submission was
-	// re-routed to Target (Reason carries the failure cause).
+	// KindFailover: an attempt against Node failed (Reason carries the
+	// failure cause) and the submission goes on to another node; the next
+	// KindRouted event for it names the new node.
 	KindFailover
 	// KindDeadlineShed: a submission was rejected because the estimator's
 	// desire plus the observed submit-to-start p99 predicted the job could
@@ -127,7 +128,8 @@ type Event struct {
 	Pool string `json:"pool,omitempty"`
 	// Job is the pool-assigned job id for lifecycle events.
 	Job uint64 `json:"job,omitempty"`
-	// Reason qualifies KindShed ("full" or "shed") and KindCancelled.
+	// Reason qualifies KindShed ("full" or "shed") and KindCancelled, and
+	// carries the failure cause on KindFailover.
 	Reason string `json:"reason,omitempty"`
 	// Arg is the kind's numeric payload: the shed-ladder level on
 	// admitted and shed events, the predicted wait in nanoseconds on
@@ -141,8 +143,6 @@ type Event struct {
 	// Node identifies the cluster peer on peer-up/peer-suspect/peer-dead
 	// events, and the chosen (or failed) node on routed/failover events.
 	Node string `json:"node,omitempty"`
-	// Target is the node a failover re-routed to.
-	Target string `json:"target,omitempty"`
 	// Estimator payload on KindQuantum: desire before and after the
 	// false-positive filter, the actual grant, and the grantable maximum.
 	Raw      int `json:"raw,omitempty"`

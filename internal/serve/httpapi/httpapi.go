@@ -95,23 +95,22 @@ func New(cfg Config) *Server {
 // its reply.
 func (s *Server) Drained() <-chan struct{} { return s.drained }
 
-// Record aggregates the pools' Snapshots into a node's gossiped load
-// signal: desire, allotment, spare, and queue depth sum across tenants;
-// the shed flag is any pool's latch; admit p99 is the worst pool's. Built
-// on the same Snapshot /status renders, so the two surfaces can never
-// disagree.
+// Record aggregates the pools' Stats into a node's gossiped load signal:
+// desire, allotment, spare, and queue depth sum across tenants; the shed
+// flag is any pool's latch; admit p99 is the worst pool's. Built on the
+// same Stats /status renders, so the two surfaces can never disagree.
 func Record(pools ...*serve.Pool) cluster.Record {
 	var rec cluster.Record
 	for _, p := range pools {
-		snap := p.Snapshot()
-		rec.Desire += snap.Desire
-		rec.Allotment += snap.Allotment
-		rec.Spare += snap.Spare
-		rec.Queued += snap.InFlight
-		rec.QueueCap += snap.QueueCap
-		rec.Shed = rec.Shed || snap.Shedding
-		if snap.AdmitP99 > rec.AdmitP99 {
-			rec.AdmitP99 = snap.AdmitP99
+		st := p.Stats()
+		rec.Desire += st.Desire
+		rec.Allotment += st.Allotment
+		rec.Spare += st.Spare
+		rec.Queued += st.InFlight
+		rec.QueueCap += st.QueueCap
+		rec.Shed = rec.Shed || st.Shedding
+		if st.AdmitP99 > rec.AdmitP99 {
+			rec.AdmitP99 = st.AdmitP99
 		}
 	}
 	return rec
@@ -436,24 +435,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatusReply is the /status and /drain response body. Pools carries the
-// same serve.Snapshot records the cluster layer gossips, so /status and
+// same serve.Stats records the cluster layer gossips, so /status and
 // /cluster can never disagree about a pool's load.
 type StatusReply struct {
-	Pools     []serve.Snapshot     `json:"pools"`
+	Pools     []serve.Stats        `json:"pools"`
 	Tenants   []serve.TenantStatus `json:"tenants,omitempty"`
 	FreeCores int                  `json:"free_cores,omitempty"`
 }
 
-func (s *Server) poolSnapshots() []serve.Snapshot {
-	snaps := make([]serve.Snapshot, len(s.cfg.Pools))
+func (s *Server) poolStats() []serve.Stats {
+	stats := make([]serve.Stats, len(s.cfg.Pools))
 	for i, p := range s.cfg.Pools {
-		snaps[i] = p.Snapshot()
+		stats[i] = p.Stats()
 	}
-	return snaps
+	return stats
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rep := StatusReply{Pools: s.poolSnapshots()}
+	rep := StatusReply{Pools: s.poolStats()}
 	if s.cfg.Tenancy != nil {
 		rep.Tenants = s.cfg.Tenancy.Snapshot()
 		rep.FreeCores = s.cfg.Tenancy.FreeCores()
@@ -485,7 +484,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, StatusReply{Pools: s.poolSnapshots()})
+	writeJSON(w, http.StatusOK, StatusReply{Pools: s.poolStats()})
 	s.drainOnce.Do(func() { close(s.drained) })
 }
 

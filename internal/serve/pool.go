@@ -98,7 +98,6 @@ type Pool struct {
 	shedding  atomic.Bool
 
 	lastDesire atomic.Int64
-	peakDesire atomic.Int64
 
 	admitted         atomic.Int64
 	completed        atomic.Int64
@@ -198,9 +197,8 @@ func (p *Pool) publishEv(ev stream.Event) {
 }
 
 // noteQuantum is the pool's estimator tap, invoked once per quantum on
-// the runtime's helper goroutine: it publishes the quantum digest, tracks
-// the desire peak for takeBid, steps the shed ladder and stores the level
-// for the admission paths to read.
+// the runtime's helper goroutine: it publishes the quantum digest, steps
+// the shed ladder and stores the level for the admission paths to read.
 func (p *Pool) noteQuantum(q wsrt.QuantumInfo) {
 	p.lastDesire.Store(int64(q.Filtered))
 	p.publishEv(stream.Event{
@@ -210,12 +208,6 @@ func (p *Pool) noteQuantum(q wsrt.QuantumInfo) {
 		Granted:  q.Granted,
 		Capacity: q.Capacity,
 	})
-	for {
-		peak := p.peakDesire.Load()
-		if int64(q.Filtered) <= peak || p.peakDesire.CompareAndSwap(peak, int64(q.Filtered)) {
-			break
-		}
-	}
 	lvl := p.ladder.step(q.Filtered, q.Capacity, int(p.inflight.Load()))
 	p.shedLevel.Store(lvl)
 	p.shedding.Store(lvl > 0)
@@ -287,19 +279,6 @@ func (p *Pool) LiveDesire() int {
 	return p.rt.AllotmentSize()
 }
 
-// takeBid returns the peak filtered desire observed since the previous
-// call, and resets the window. Estimation quanta are much shorter than
-// arbitration rounds, so a point sample of the latest quantum would miss
-// the transient Increase decisions that signal real demand; the windowed
-// peak is the pool's honest bid for the whole epoch.
-func (p *Pool) takeBid() int {
-	peak := int(p.peakDesire.Swap(0))
-	if d := p.LiveDesire(); d > peak {
-		peak = d
-	}
-	return peak
-}
-
 // SetMaxWorkers imposes (n > 0) or lifts (n <= 0) a dynamic worker cap on
 // the pool's runtime; see wsrt.Runtime.SetMaxWorkers.
 func (p *Pool) SetMaxWorkers(n int) { p.rt.SetMaxWorkers(n) }
@@ -310,7 +289,10 @@ func (p *Pool) Capacity() int { return p.rt.Capacity() }
 // AllotmentSize returns the current allotment size.
 func (p *Pool) AllotmentSize() int { return p.rt.AllotmentSize() }
 
-// Stats is a point-in-time snapshot of the pool's serving counters.
+// Stats is a point-in-time sample of the pool's serving counters and its
+// spare-parallelism signal. It is the single record the serving surfaces
+// share: /status, /cluster and the gossip layer all render it, so they can
+// never disagree about a pool's load.
 type Stats struct {
 	Name string `json:"name"`
 	// Admitted counts jobs that entered the pool; every one of them ends
@@ -347,6 +329,21 @@ type Stats struct {
 	// started job).
 	AdmitP50 float64 `json:"admit_p50_seconds"`
 	AdmitP99 float64 `json:"admit_p99_seconds"`
+	// Spare is the pool's spare estimated parallelism: the maximum
+	// grantable allotment (mesh capacity) minus the filtered desire of the
+	// last quantum. The granted allotment tracks desire in steady state,
+	// so capacity — the bound the allotment grows toward — is the A term
+	// that makes A−D a live headroom signal: positive means the estimator
+	// wants fewer workers than the pool could still grant, zero means
+	// desire is pinned at the grantable maximum (the same condition the
+	// shed latch watches). This is the load signal cluster routing steers
+	// on (DVS victim ordering lifted to nodes). It is derived from this
+	// sample's Capacity and Desire, so the three are never torn, and
+	// clamped at zero: desire can transiently exceed capacity during a
+	// policy rebuild (the estimator re-learns the shrunk mesh a quantum
+	// late), and a negative headroom means "no spare" to every consumer
+	// (internal/cluster/pick also tolerates peers that gossip one).
+	Spare int `json:"spare"`
 }
 
 // ClassStats is one priority class's slice of the admission ledger.
@@ -391,6 +388,7 @@ func (p *Pool) Stats() Stats {
 		AdmitP50:         p50,
 		AdmitP99:         p99,
 	}
+	out.Spare = max(out.Capacity-out.Desire, 0)
 	for c := Class(0); c < NumClasses; c++ {
 		out.ByClass[c] = ClassStats{
 			Class:     c.String(),
@@ -400,41 +398,6 @@ func (p *Pool) Stats() Stats {
 		}
 	}
 	return out
-}
-
-// Snapshot extends Stats with the derived spare-parallelism signal. It is
-// the single record the serving surfaces share: /status, /cluster, and the
-// gossip layer all render the same Snapshot, so they can never disagree
-// about a pool's load.
-type Snapshot struct {
-	Stats
-	// Spare is the pool's spare estimated parallelism: the maximum
-	// grantable allotment (mesh capacity) minus the filtered desire of the
-	// last quantum. The granted allotment tracks desire in steady state,
-	// so capacity — the bound the allotment grows toward — is the A term
-	// that makes A−D a live headroom signal: positive means the estimator
-	// wants fewer workers than the pool could still grant, zero means
-	// desire is pinned at the grantable maximum (the same condition the
-	// shed latch watches). This is the load signal cluster routing steers
-	// on (DVS victim ordering lifted to nodes).
-	Spare int `json:"spare"`
-}
-
-// Snapshot samples the pool once and derives the spare signal from that
-// single Stats read, so the two can never be torn against each other.
-// Spare is clamped at zero: desire can transiently exceed capacity during
-// a policy rebuild (the estimator re-learns the shrunk mesh a quantum
-// late), and a negative headroom signal is meaningless to every consumer
-// — the router tiers treat it as "no spare", and older peers that gossip
-// the pre-clamp value are tolerated on the receiving side
-// (internal/cluster/pick).
-func (p *Pool) Snapshot() Snapshot {
-	st := p.Stats()
-	spare := st.Capacity - st.Desire
-	if spare < 0 {
-		spare = 0
-	}
-	return Snapshot{Stats: st, Spare: spare}
 }
 
 // registerMetrics exposes the pool's serving counters on reg, labelled by

@@ -114,12 +114,14 @@ func (t *Tenancy) Rearbitrate() {
 		live = append(live, tn)
 	}
 	t.tenants = live
-	// Each tenant bids the peak desire of the epoch, sampled exactly once
-	// per round. Shrinkers go first, so the cores they return are
-	// grantable to growers in the same round.
+	// Each tenant bids the filtered desire of its latest quantum, sampled
+	// exactly once per round: the controller's false-positive filter is
+	// the one smoothing stage between desire and grant. Shrinkers go
+	// first, so the cores they return are grantable to growers in the
+	// same round.
 	bids := make(map[*tenant]int, len(t.tenants))
 	for _, tn := range t.tenants {
-		bids[tn] = tn.pool.takeBid()
+		bids[tn] = tn.pool.LiveDesire()
 	}
 	for _, tn := range t.tenants {
 		if bids[tn] <= tn.app.Allotment().Size() {

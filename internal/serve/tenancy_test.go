@@ -119,6 +119,28 @@ func TestTenancyRedistributesByDesire(t *testing.T) {
 	ten.Close()
 }
 
+// TestTenancyBidsLastDesire: a tenant bids the filtered desire of its
+// latest quantum, not a peak held over the arbitration epoch, so a pool
+// whose desire fell gives the cores back on the next round.
+func TestTenancyBidsLastDesire(t *testing.T) {
+	p := quietPool(t, Config{Name: "t", Runtime: wsrt.Config{Mesh: topo.MustMesh(4, 4)}})
+	machine := topo.MustMesh(8, 4)
+	ten := NewTenancy(machine, time.Hour)
+	if err := ten.Attach(p, machine.ID(topo.Coord{X: 3, Y: 2})); err != nil {
+		t.Fatal(err)
+	}
+	const high, low = 12, 3
+	p.noteQuantum(wsrt.QuantumInfo{Raw: high, Filtered: high, Granted: high, Capacity: 16})
+	p.noteQuantum(wsrt.QuantumInfo{Raw: low, Filtered: low, Granted: low, Capacity: 16})
+	ten.Rearbitrate()
+	if share := ten.Snapshot()[0].Share; share < low || share >= high {
+		t.Fatalf("share after desires %d then %d = %d, want the last desire covered and below %d",
+			high, low, share, high)
+	}
+	drain(t, p)
+	ten.Close()
+}
+
 func TestTenancyImposesCaps(t *testing.T) {
 	// An idle tenant's runtime capacity must shrink to (the zone floor
 	// of) its arbitrated share.

@@ -16,6 +16,8 @@ package topo
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // CoreID identifies a core by its linear index into the mesh, using
@@ -77,6 +79,25 @@ func MustMesh(dims ...int) *Mesh {
 		panic(err)
 	}
 	return m
+}
+
+// ParseMesh turns "8x4" or "4x4x4" (case-insensitive, surrounding space
+// ignored) into the extents NewMesh takes: one to three dimensions, each
+// at least 1.
+func ParseMesh(s string) ([]int, error) {
+	parts := strings.Split(strings.ToLower(strings.TrimSpace(s)), "x")
+	if len(parts) > 3 {
+		return nil, fmt.Errorf("topo: bad mesh %q: want DX, DXxDY or DXxDYxDZ", s)
+	}
+	dims := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("topo: bad mesh %q: dimension %q", s, p)
+		}
+		dims[i] = v
+	}
+	return dims, nil
 }
 
 // Dims returns the mesh extents (X, Y, Z); trailing singleton dimensions are

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,27 @@ func TestNewMeshDims(t *testing.T) {
 		}
 		if m.NumCores() != c.cores {
 			t.Errorf("NewMesh(%v).NumCores() = %d, want %d", c.dims, m.NumCores(), c.cores)
+		}
+	}
+}
+
+func TestParseMesh(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int // nil: the string must be refused
+	}{
+		{"8x4", []int{8, 4}},
+		{"4x4x4", []int{4, 4, 4}},
+		{"16", []int{16}},
+		{" 4X4 ", []int{4, 4}},
+		{"axb", nil},
+		{"0x4", nil},
+		{"8x4x2x1", nil},
+		{"", nil},
+	} {
+		got, err := ParseMesh(tc.in)
+		if (err == nil) != (tc.want != nil) || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseMesh(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }

@@ -70,8 +70,9 @@ func (c *Ctx) push(t *rtTask) {
 		// no-waiters fast path is a single atomic load — see idle.go).
 		c.w.wakeOneThief()
 	} else {
-		// Still appended below, because Future.Go reads the last pending
-		// entry; the done flag lets the later Sync skip it.
+		// Still appended below, so that every Sync pairs with exactly one
+		// Spawn (WOOL's SYNC joins the youngest spawn, inlined or not);
+		// the done flag lets that Sync skip it.
 		c.w.runInline(t)
 		t.done.Store(true)
 	}

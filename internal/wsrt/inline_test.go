@@ -149,11 +149,13 @@ func TestInlineChildLeapfrogIsSearch(t *testing.T) {
 	t.Fatal("in 20 runs, none popped A back while a thief held B")
 }
 
-// TestFutureJoinInlineBranches joins futures that were never stolen: on
-// one worker with a two-slot deque, the first two run when Join pops them
-// back and the rest ran at Go because the deque was full — their Join
-// must see them done and return their values without waiting.
-func TestFutureJoinInlineBranches(t *testing.T) {
+// TestSyncInlineBranches joins children that were never stolen: on a
+// two-slot deque the first two children wait in the deque and run when
+// their Sync pops them back, and the rest ran at Spawn because the deque
+// was full. Each Sync must still pair with exactly one Spawn: on one
+// worker, the six Syncs of the inlined children leave the two queued ones
+// unrun.
+func TestSyncInlineBranches(t *testing.T) {
 	for _, mesh := range []*topo.Mesh{topo.MustMesh(1), smallMesh(t)} {
 		rt, err := New(Config{Mesh: mesh, Source: 0, QueueCap: 2, InitialDiaspora: mesh.MaxDiaspora(0)})
 		if err != nil {
@@ -164,22 +166,30 @@ func TestFutureJoinInlineBranches(t *testing.T) {
 			if n < 2 {
 				return n
 			}
-			f := Go(c, func(cc *Ctx) int { return fib(cc, n-1) })
-			g := Go(c, func(cc *Ctx) int { return fib(cc, n-2) })
-			return g.Join(c) + f.Join(c)
+			var a, b int
+			c.Spawn(func(cc *Ctx) { a = fib(cc, n-1) })
+			c.Spawn(func(cc *Ctx) { b = fib(cc, n-2) })
+			c.Sync()
+			c.Sync()
+			return a + b
 		}
 		var squares [8]int
+		var queuedEarly bool
 		var fibv int
 		within(t, 10*time.Second, func() {
 			if _, err := rt.Run(func(c *Ctx) {
-				fs := make([]*Future[int], len(squares))
-				for i := range fs {
+				for i := range squares {
 					i := i
-					fs[i] = Go(c, func(*Ctx) int { return i * i })
+					c.Spawn(func(*Ctx) { squares[i] = i * i })
 				}
-				for i := len(fs) - 1; i >= 0; i-- {
-					squares[i] = fs[i].Join(c)
+				for i := len(squares) - 1; i >= 2; i-- {
+					c.Sync()
 				}
+				if mesh.NumCores() == 1 { // no thief can have run it
+					queuedEarly = squares[1] != 0
+				}
+				c.Sync()
+				c.Sync()
 				fibv = fib(c, 16)
 			}); err != nil {
 				t.Error(err)
@@ -187,8 +197,11 @@ func TestFutureJoinInlineBranches(t *testing.T) {
 		})
 		for i, v := range squares {
 			if v != i*i {
-				t.Errorf("%d workers: future %d = %d, want %d", mesh.NumCores(), i, v, i*i)
+				t.Errorf("%d workers: child %d = %d, want %d", mesh.NumCores(), i, v, i*i)
 			}
+		}
+		if queuedEarly {
+			t.Errorf("1 worker: queued child 1 ran before its own Sync")
 		}
 		if fibv != 987 {
 			t.Errorf("%d workers: fib(16) = %d, want 987", mesh.NumCores(), fibv)
