@@ -103,10 +103,13 @@ func run(dims string, source, d int, reserved string, series bool) error {
 		}
 	}
 	if series {
-		maxD := m.MaxDiaspora(topo.CoreID(source))
+		zones, err := topo.Zones(m, topo.CoreID(source), 0)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("%s, source %d: allotment sizes per diaspora\n", m, source)
-		for dd, size := range topo.ZoneSeries(m, topo.CoreID(source), maxD) {
-			fmt.Printf("  d=%d: %d workers\n", dd+1, size)
+		for i, a := range zones {
+			fmt.Printf("  d=%d: %d workers\n", i+1, a.Size())
 		}
 		return nil
 	}

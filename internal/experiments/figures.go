@@ -83,13 +83,12 @@ func sourceTotal(p Platform, r Run) int64 {
 // workerColumns orders the run's workers by (zone, id) against the
 // platform's maximal allotment and extracts useful/total cycles.
 func workerColumns(p Platform, r Run) []plot.WorkerColumn {
-	mesh := p.Mesh()
-	max, err := topo.NewAllotment(mesh, p.Source, p.MaxDiaspora)
+	zones, err := topo.Zones(p.Mesh(), p.Source, len(p.FixedSizes))
 	if err != nil {
 		return nil
 	}
 	var cols []plot.WorkerColumn
-	for _, id := range max.Members() {
+	for _, id := range zones[len(zones)-1].Members() {
 		ws, ok := r.Result.Workers[id]
 		if !ok {
 			continue
@@ -360,13 +359,12 @@ type OverheadRow struct {
 // EstimatorOverhead evaluates both estimators' inspection cost on every
 // allotment size of the platform.
 func EstimatorOverhead(p Platform) ([]OverheadRow, error) {
+	zones, err := topo.Zones(p.Mesh(), p.Source, len(p.FixedSizes))
+	if err != nil {
+		return nil, err
+	}
 	var out []OverheadRow
-	mesh := p.Mesh()
-	for d := 1; d <= p.MaxDiaspora; d++ {
-		a, err := topo.NewAllotment(mesh, p.Source, d)
-		if err != nil {
-			return nil, err
-		}
+	for _, a := range zones {
 		class := topo.Classify(a)
 		// A balanced snapshot: Z busy (decrease short-circuits), X queues
 		// modest (increase short-circuits at the first below-threshold).

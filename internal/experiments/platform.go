@@ -27,9 +27,9 @@ type Platform struct {
 	WL workload.Platform
 	// Source is the core workloads start on.
 	Source topo.CoreID
-	// MaxDiaspora caps adaptive growth at the paper's largest fixed size.
-	MaxDiaspora int
-	// FixedSizes are the paper's fixed allotments for this platform.
+	// FixedSizes are the paper's fixed allotments for this platform: the
+	// sizes of its complete allotments of diaspora 1..len(FixedSizes),
+	// which also caps adaptive growth.
 	FixedSizes []int
 	// Quantum is the estimation interval in cycles.
 	Quantum int64
@@ -51,11 +51,10 @@ func (p Platform) Machine(m *topo.Mesh) sim.MachineModel { return p.newMachine(m
 // fixed allotments 5/12/20/27.
 func SimPlatform() Platform {
 	return Platform{
-		Name:        "Barrelfish (simulator)",
-		WL:          workload.Simulator,
-		Source:      20,
-		MaxDiaspora: 4,
-		FixedSizes:  []int{5, 12, 20, 27},
+		Name:       "Barrelfish (simulator)",
+		WL:         workload.Simulator,
+		Source:     20,
+		FixedSizes: []int{5, 12, 20, 27},
 		// Small relative to run lengths (the paper's "small fixed
 		// interval") so adaptation dynamics, not ramp cost, dominate.
 		Quantum: 50000,
@@ -75,13 +74,12 @@ func SimPlatform() Platform {
 // allotments 5/13/24/35/42/45, NUMA machine model.
 func LinuxPlatform() Platform {
 	return Platform{
-		Name:        "Linux (real hardware model)",
-		WL:          workload.NUMA,
-		Source:      28,
-		MaxDiaspora: 6,
-		FixedSizes:  []int{5, 13, 24, 35, 42, 45},
-		Quantum:     50000,
-		Seed:        9,
+		Name:       "Linux (real hardware model)",
+		WL:         workload.NUMA,
+		Source:     28,
+		FixedSizes: []int{5, 13, 24, 35, 42, 45},
+		Quantum:    50000,
+		Seed:       9,
 		newMesh: func() *topo.Mesh {
 			m := topo.MustMesh(8, 6)
 			m.Reserve(0, 1, 2)
@@ -168,7 +166,7 @@ func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, e
 		Root:            root,
 		Machine:         p.Machine(mesh),
 		InitialDiaspora: 1,
-		MaxDiaspora:     p.MaxDiaspora,
+		MaxDiaspora:     len(p.FixedSizes),
 		Policy:          policy,
 		Estimator:       est,
 		Quantum:         p.Quantum,
@@ -179,8 +177,15 @@ func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, e
 		if workers == 0 {
 			workers = largest
 		}
-		d, a, ok := topo.DiasporaForSize(mesh, p.Source, workers)
-		if !ok || d > p.MaxDiaspora || a.Size() != workers {
+		zones, err := topo.Zones(mesh, p.Source, len(p.FixedSizes))
+		if err != nil {
+			return sim.Config{}, err
+		}
+		d := 1
+		for d <= len(zones) && zones[d-1].Size() != workers {
+			d++
+		}
+		if d > len(zones) {
 			sizes := make([]string, len(p.FixedSizes))
 			for i, n := range p.FixedSizes {
 				sizes[i] = strconv.Itoa(n)

@@ -17,31 +17,6 @@ type Label struct {
 	Key, Value string
 }
 
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous metric.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket distribution metric in the Prometheus
 // histogram exposition shape: cumulative per-bucket counts plus a running
 // sum and count. Observe is lock-free; buckets are immutable after
@@ -181,22 +156,6 @@ func (r *Registry) register(m *metric) {
 	r.mu.Lock()
 	r.ms = append(r.ms, m)
 	r.mu.Unlock()
-}
-
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(&metric{name: name, help: help, kind: kindCounter,
-		labels: formatLabels(labels), value: func() float64 { return float64(c.Value()) }})
-	return c
-}
-
-// Gauge registers and returns a settable gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: kindGauge,
-		labels: formatLabels(labels), value: g.Value})
-	return g
 }
 
 // GaugeFunc registers a gauge sampled by fn at scrape time — the natural

@@ -9,11 +9,10 @@ import (
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("palirria_steals_total", "Successful steals.")
-	c.Add(41)
-	c.Inc()
-	g := reg.Gauge("palirria_allotment_workers", "Current allotment size.")
-	g.Set(9)
+	reg.CounterFunc("palirria_steals_total", "Successful steals.",
+		func() float64 { return 42 })
+	reg.GaugeFunc("palirria_allotment_workers", "Current allotment size.",
+		func() float64 { return 9 })
 	reg.GaugeFunc("palirria_worker_queue_len", "Queue length.",
 		func() float64 { return 3 }, Label{"core", "5"})
 	reg.GaugeFunc("palirria_worker_queue_len", "Queue length.",
@@ -53,29 +52,9 @@ func TestRegistryLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestCounterConcurrent(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c", "")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("Value = %d, want 8000", c.Value())
-	}
-}
-
 func TestGaugeFloat(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("g", "")
-	g.Set(1.5)
+	reg.GaugeFunc("g", "", func() float64 { return 1.5 })
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	if !strings.Contains(buf.String(), "g 1.5") {
@@ -163,8 +142,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 		func() float64 { return 1 }, Label{"core", "10"})
 	reg.GaugeFunc("mid_queue_len", "Queue length.",
 		func() float64 { return 2 }, Label{"core", "2"})
-	c := reg.Counter("aa_first_total", "Registered last, rendered first.")
-	c.Add(5)
+	reg.CounterFunc("aa_first_total", "Registered last, rendered first.",
+		func() float64 { return 5 })
 
 	const golden = `# HELP aa_first_total Registered last, rendered first.
 # TYPE aa_first_total counter

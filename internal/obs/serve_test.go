@@ -10,7 +10,7 @@ import (
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("palirria_tasks_total", "Tasks.").Add(7)
+	reg.CounterFunc("palirria_tasks_total", "Tasks.", func() float64 { return 7 })
 
 	s, err := Serve("127.0.0.1:0", reg)
 	if err != nil {

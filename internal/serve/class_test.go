@@ -101,7 +101,7 @@ func TestPoolShedLadderEscalation(t *testing.T) {
 	// Desire dropping below capacity resets the whole ladder.
 	cp := p.Capacity()
 	p.noteQuantum(wsrt.QuantumInfo{Filtered: cp - 1, Granted: cp, Capacity: cp})
-	if p.shedLevel.Load() != 0 || p.shedding.Load() {
+	if p.shedLevel.Load() != 0 {
 		t.Fatal("ladder did not reset when desire dropped below capacity")
 	}
 

@@ -178,7 +178,7 @@ func TestServeOverloadShedsAndRecovers(t *testing.T) {
 	// observe pinned desire + saturation and arm the latch.
 	armed := false
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if p.shedding.Load() {
+		if p.shedLevel.Load() > 0 {
 			armed = true
 			break
 		}

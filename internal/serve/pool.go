@@ -91,11 +91,10 @@ type Pool struct {
 	// ladder is the overload ratchet, stepped once per quantum and touched
 	// only by the helper goroutine; shedLevel is the level it last
 	// returned, published for the admission paths (0 admits everything,
-	// level L sheds every class below L) and shedding mirrors
-	// shedLevel > 0.
+	// level L sheds every class below L; the pool is shedding while it is
+	// above 0).
 	ladder    shedLadder
 	shedLevel atomic.Int32
-	shedding  atomic.Bool
 
 	lastDesire atomic.Int64
 
@@ -210,7 +209,6 @@ func (p *Pool) noteQuantum(q wsrt.QuantumInfo) {
 	})
 	lvl := p.ladder.step(q.Filtered, q.Capacity, int(p.inflight.Load()))
 	p.shedLevel.Store(lvl)
-	p.shedding.Store(lvl > 0)
 }
 
 // noteIdle signals Drain that inflight reached zero. The channel is
@@ -270,8 +268,9 @@ func (p *Pool) Final() *wsrt.Report {
 }
 
 // LiveDesire is the filtered desire of the most recent quantum; before
-// the first quantum it falls back to the current allotment size. The
-// re-arbitration loop reads it as the pool's bid for cores.
+// the first quantum it falls back to the current allotment size. It is
+// the pool's one desire: the re-arbitration loop bids it, and Stats and
+// the palirria_pool_desire_workers gauge report it.
 func (p *Pool) LiveDesire() int {
 	if d := int(p.lastDesire.Load()); d > 0 {
 		return d
@@ -360,7 +359,7 @@ type ClassStats struct {
 // Stats samples the pool.
 func (p *Pool) Stats() Stats {
 	inflight, running := p.inflight.Load(), p.running.Load()
-	st := p.state.Load()
+	st, shedLevel := p.state.Load(), p.shedLevel.Load()
 	var p50, p99 float64
 	if p.latExported {
 		p50 = p.latHist.Quantile(0.50)
@@ -377,11 +376,11 @@ func (p *Pool) Stats() Stats {
 		InFlight:         inflight,
 		Running:          running,
 		Queued:           max(inflight-running, 0),
-		Shedding:         p.shedding.Load(),
-		ShedLevel:        p.shedLevel.Load(),
+		Shedding:         shedLevel > 0,
+		ShedLevel:        shedLevel,
 		Draining:         st == poolDraining,
 		Closed:           st == poolClosed,
-		Desire:           int(p.lastDesire.Load()),
+		Desire:           p.LiveDesire(),
 		Allotment:        p.rt.AllotmentSize(),
 		Capacity:         p.rt.Capacity(),
 		QueueCap:         p.cfg.QueueCap,
@@ -424,7 +423,7 @@ func (p *Pool) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(max(p.inflight.Load()-p.running.Load(), 0)) }, lbl)
 	reg.GaugeFunc("palirria_pool_shedding", "1 while the overload latch is armed.",
 		func() float64 {
-			if p.shedding.Load() {
+			if p.shedLevel.Load() > 0 {
 				return 1
 			}
 			return 0
@@ -443,7 +442,7 @@ func (p *Pool) registerMetrics(reg *obs.Registry) {
 			count(&p.classCompleted[c]), lbl, cl)
 	}
 	reg.GaugeFunc("palirria_pool_desire_workers", "Filtered desire of the last quantum.",
-		func() float64 { return float64(p.lastDesire.Load()) }, lbl)
+		func() float64 { return float64(p.LiveDesire()) }, lbl)
 	p.latHist = reg.Histogram("palirria_pool_admission_latency_seconds",
 		"Time from Submit to job start.", nil, lbl)
 	p.latExported = true

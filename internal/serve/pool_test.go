@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -165,7 +166,7 @@ func TestPoolShedLatch(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
 	}
-	if p.shedding.Load() {
+	if p.shedLevel.Load() > 0 {
 		t.Fatal("shed armed without queue saturation")
 	}
 
@@ -186,11 +187,11 @@ func TestPoolShedLatch(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
 	}
-	if p.shedding.Load() {
+	if p.shedLevel.Load() > 0 {
 		t.Fatal("shed armed before ShedQuanta consecutive quanta")
 	}
 	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
-	if !p.shedding.Load() {
+	if p.shedLevel.Load() == 0 {
 		t.Fatal("shed latch did not arm")
 	}
 	if err := p.Submit(context.Background(), func(c *wsrt.Ctx) {}); !errors.Is(err, ErrOverloaded) {
@@ -202,12 +203,12 @@ func TestPoolShedLatch(t *testing.T) {
 	// The latch holds while desire stays pinned, even as the queue
 	// drains...
 	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
-	if !p.shedding.Load() {
+	if p.shedLevel.Load() == 0 {
 		t.Fatal("latch released while desire still pinned")
 	}
 	// ...and releases as soon as desire drops below capacity.
 	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap - 1, Granted: cap, Capacity: cap})
-	if p.shedding.Load() {
+	if p.shedLevel.Load() > 0 {
 		t.Fatal("latch did not release when desire dropped")
 	}
 	close(gate)
@@ -234,6 +235,35 @@ func TestPoolMetricsRegistered(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPoolFreshDesireAgrees holds a pool to one desire before its first
+// quantum: Stats, the desire gauge and the tenant bid all read the
+// allotment, so the spare a fresh pool gossips is the capacity it could
+// still grant beyond it.
+func TestPoolFreshDesireAgrees(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, err := New(Config{Name: "fresh", Metrics: reg,
+		Runtime: wsrt.Config{Mesh: topo.MustMesh(4, 2), Quantum: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, p)
+	st := p.Stats()
+	if st.Allotment != p.AllotmentSize() || st.Allotment >= st.Capacity {
+		t.Fatalf("fresh pool allotment %d, capacity %d: want a zone-1 start below capacity", st.Allotment, st.Capacity)
+	}
+	if st.Desire != p.LiveDesire() || st.Desire != st.Allotment {
+		t.Fatalf("Stats().Desire = %d, LiveDesire() = %d, allotment %d: want all equal", st.Desire, p.LiveDesire(), st.Allotment)
+	}
+	if st.Spare != st.Capacity-st.Allotment {
+		t.Fatalf("Spare = %d, want capacity %d - allotment %d", st.Spare, st.Capacity, st.Allotment)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if want := fmt.Sprintf(`palirria_pool_desire_workers{pool="fresh"} %d`, st.Desire); !strings.Contains(sb.String(), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, sb.String())
 	}
 }
 

@@ -389,15 +389,7 @@ func setup(cfg Config) (*engine, error) {
 	if _, err := task.Validate(cfg.Root); err != nil {
 		return nil, fmt.Errorf("sim: invalid root: %w", err)
 	}
-	initialD := cfg.InitialDiaspora
-	if initialD == 0 {
-		initialD = 1
-	}
-	opts := []sysched.Option{sysched.WithInitialDiaspora(initialD)}
-	if cfg.MaxDiaspora > 0 {
-		opts = append(opts, sysched.WithMaxDiaspora(cfg.MaxDiaspora))
-	}
-	mgr, err := sysched.NewManager(cfg.Mesh, cfg.Source, opts...)
+	mgr, err := sysched.NewManager(cfg.Mesh, cfg.Source, cfg.InitialDiaspora, cfg.MaxDiaspora)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}

@@ -37,8 +37,8 @@ func NewArbiter(mesh *topo.Mesh) *Arbiter {
 }
 
 // Register admits an application with the given source core and grants it
-// the minimal allotment the neighbourhood allows (the source plus up to
-// one zone of free neighbours).
+// the minimal allotment the neighbourhood allows: the source plus its free
+// distance-1 neighbours (zone 1), and never a core farther out.
 func (ab *Arbiter) Register(name string, source topo.CoreID) (*App, error) {
 	if !ab.mesh.Valid(source) {
 		return nil, fmt.Errorf("sysched: invalid source %d", source)
@@ -52,14 +52,18 @@ func (ab *Arbiter) Register(name string, source topo.CoreID) (*App, error) {
 	app := &App{Name: name, source: source, ab: ab}
 	ab.owner[source] = app
 	ab.apps = append(ab.apps, app)
-	a, err := topo.NewAllotmentFromCores(ab.mesh, source, nil)
+	var zone1 []topo.CoreID
+	for _, id := range ab.mesh.Neighbors(source) {
+		if !ab.mesh.Reserved(id) && ab.owner[id] == nil {
+			zone1 = append(zone1, id)
+			ab.owner[id] = app
+		}
+	}
+	a, err := topo.NewAllotmentFromCores(ab.mesh, source, zone1)
 	if err != nil {
 		return nil, err
 	}
 	app.cur = a
-	// Seed with the free distance-1 neighbours (the minimal "zone 1 plus
-	// source" when uncontended).
-	app.cur = ab.grow(app, 5)
 	return app, nil
 }
 

@@ -1,6 +1,7 @@
 package sysched
 
 import (
+	"reflect"
 	"testing"
 
 	"palirria/internal/topo"
@@ -25,6 +26,50 @@ func TestArbiterRegisterAndGrow(t *testing.T) {
 		if m.HopCount(app1.Source(), id) > 4 {
 			t.Fatalf("member %d too far for a 12-worker grant", id)
 		}
+	}
+}
+
+// TestArbiterRegisterSeedsZone1 holds the seed share to the source plus
+// its free distance-1 neighbours on an empty 8x4 mesh: a corner or edge
+// source starts smaller than an interior one, and a neighbour another
+// application owns is not replaced by a farther core.
+func TestArbiterRegisterSeedsZone1(t *testing.T) {
+	cases := []struct {
+		name    string
+		before  []topo.CoreID // sources registered first
+		source  topo.CoreID
+		members []topo.CoreID
+	}{
+		{"corner", nil, 0, []topo.CoreID{0, 1, 8}},
+		{"edge", nil, 3, []topo.CoreID{3, 2, 4, 11}},
+		{"interior", nil, 10, []topo.CoreID{10, 2, 9, 11, 18}},
+		{"contended neighbour", []topo.CoreID{10}, 12, []topo.CoreID{12, 4, 13, 20}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := topo.MustMesh(8, 4)
+			ab := NewArbiter(m)
+			for _, src := range c.before {
+				if _, err := ab.Register("before", src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			app, err := ab.Register("app", c.source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := app.Allotment().Members(); !reflect.DeepEqual(got, c.members) {
+				t.Fatalf("seed = %v, want %v", got, c.members)
+			}
+			owned := m.Usable() - ab.FreeCores()
+			want := len(c.members)
+			for _, other := range ab.Apps()[:len(c.before)] {
+				want += other.Allotment().Size()
+			}
+			if owned != want {
+				t.Fatalf("%d cores owned, want %d", owned, want)
+			}
+		})
 	}
 }
 

@@ -21,77 +21,38 @@ import (
 
 // Manager grants zone-granular allotments to a single application.
 type Manager struct {
-	mesh        *topo.Mesh
-	source      topo.CoreID
-	minDiaspora int
-	maxDiaspora int
+	// zones[d-1] is the complete allotment of diaspora d, built once by
+	// topo.Zones up to the diaspora cap; every grant is one of its entries.
+	zones []*topo.Allotment
 	// current is atomic so Current is safe from any goroutine: Grant runs
 	// on the runtime's estimation helper while chaos/serving layers read
 	// the grant concurrently.
 	current atomic.Pointer[topo.Allotment]
-
-	// zoneSizes[d-1] is the size of the complete allotment of diaspora d.
-	zoneSizes []int
 	// workerCap is a dynamic worker-count ceiling imposed from above (the
 	// multiprogramming arbiter); 0 means uncapped. It is atomic because the
 	// re-arbitration loop writes it while the estimation helper calls Grant.
 	workerCap atomic.Int64
 }
 
-// Option configures a Manager.
-type Option func(*Manager)
-
-// WithMaxDiaspora caps the allotment's diaspora. The paper's evaluation
-// steps through fixed zone sets, capping the simulator platform at d=4
-// (27 workers) and the NUMA platform at d=6 (45 workers).
-func WithMaxDiaspora(d int) Option {
-	return func(m *Manager) { m.maxDiaspora = d }
-}
-
-// WithInitialDiaspora sets the starting diaspora (default 1: the minimum
-// set of 5 workers the adaptive implementations start with).
-func WithInitialDiaspora(d int) Option {
-	return func(m *Manager) { m.minDiaspora = d }
-}
-
-// NewManager creates a manager whose application starts with the minimal
-// allotment (zone 1 plus the source) unless configured otherwise.
-func NewManager(mesh *topo.Mesh, source topo.CoreID, opts ...Option) (*Manager, error) {
-	m := &Manager{
-		mesh:        mesh,
-		source:      source,
-		minDiaspora: 1,
-		maxDiaspora: mesh.MaxDiaspora(source),
-	}
-	for _, o := range opts {
-		o(m)
-	}
-	if m.maxDiaspora > mesh.MaxDiaspora(source) {
-		m.maxDiaspora = mesh.MaxDiaspora(source)
-	}
-	if m.maxDiaspora < 1 {
-		// Degenerate single-core machine: the allotment is just the source.
-		m.maxDiaspora = 1
-	}
-	if m.minDiaspora < 1 || m.minDiaspora > m.maxDiaspora {
-		return nil, fmt.Errorf("sysched: initial diaspora %d outside [1, %d]", m.minDiaspora, m.maxDiaspora)
-	}
-	a, err := topo.NewAllotment(mesh, source, m.minDiaspora)
+// NewManager creates a manager whose application starts with the complete
+// allotment of diaspora initialD and grows to at most maxD. initialD 0
+// means 1, the minimal allotment (zone 1 plus the source) the adaptive
+// implementations start with. maxD 0 means the mesh maximum; a larger one
+// is clamped to it. The paper's evaluation caps the simulator platform at
+// d=4 (27 workers) and the NUMA platform at d=6 (45 workers).
+func NewManager(mesh *topo.Mesh, source topo.CoreID, initialD, maxD int) (*Manager, error) {
+	zones, err := topo.Zones(mesh, source, maxD)
 	if err != nil {
 		return nil, err
 	}
-	m.current.Store(a)
-	for d := 1; d <= m.maxDiaspora; d++ {
-		za, err := topo.NewAllotment(mesh, source, d)
-		if err != nil {
-			break
-		}
-		m.zoneSizes = append(m.zoneSizes, za.Size())
+	if initialD == 0 {
+		initialD = 1
 	}
-	if len(m.zoneSizes) == 0 {
-		m.zoneSizes = []int{a.Size()}
+	if initialD < 1 || initialD > len(zones) {
+		return nil, fmt.Errorf("sysched: initial diaspora %d outside [1, %d]", initialD, len(zones))
 	}
-	m.maxDiaspora = len(m.zoneSizes)
+	m := &Manager{zones: zones}
+	m.current.Store(zones[initialD-1])
 	return m, nil
 }
 
@@ -111,41 +72,28 @@ func (m *Manager) SetWorkerCap(n int) {
 	m.workerCap.Store(int64(n))
 }
 
-// WorkerCap returns the current dynamic ceiling (0 = uncapped).
-func (m *Manager) WorkerCap() int { return int(m.workerCap.Load()) }
-
-// sizeAt returns the complete-allotment size of diaspora d (1-based).
-func (m *Manager) sizeAt(d int) int { return m.zoneSizes[d-1] }
-
 // EffectiveMaxWorkers is the largest allotment size currently grantable:
-// the maxDiaspora size clamped by the worker cap to the largest zone size
-// that fits, flooring at the zone-1 minimum.
+// the largest zone size that fits the worker cap, flooring at the zone-1
+// minimum.
 func (m *Manager) EffectiveMaxWorkers() int {
-	max := m.zoneSizes[len(m.zoneSizes)-1]
-	cap := int(m.workerCap.Load())
-	if cap <= 0 || cap >= max {
-		return max
-	}
-	best := m.zoneSizes[0]
-	for _, s := range m.zoneSizes {
-		if s <= cap {
-			best = s
-		} else {
-			break
-		}
-	}
-	return best
+	return m.zones[m.fit(int(m.workerCap.Load()))].Size()
 }
 
-// Series returns the allotment sizes reachable under the diaspora cap.
-func (m *Manager) Series() []int {
-	return topo.ZoneSeries(m.mesh, m.source, m.maxDiaspora)
+// fit returns the index of the largest zone within cap (0 = uncapped),
+// flooring at the first.
+func (m *Manager) fit(cap int) int {
+	i := len(m.zones) - 1
+	for cap > 0 && i > 0 && m.zones[i].Size() > cap {
+		i--
+	}
+	return i
 }
 
 // Grant maps a desired worker count to the zone-granular allotment the
 // system actually provides: the smallest complete allotment with at least
-// desired workers, clamped to [1, maxDiaspora]. It returns the new
-// allotment and whether it changed.
+// desired workers, within the diaspora and worker caps. It returns the
+// new allotment and whether it changed. The allotment is an entry of the
+// zone table, so a grant allocates nothing.
 //
 // The OS "removes and adds workers in sets" (whole zones) but a single
 // grant may cross several zones at once: Palirria's estimates move one
@@ -153,45 +101,17 @@ func (m *Manager) Series() []int {
 // deliberately jumps — that exponential convergence (and the drain cost of
 // its over-corrections) is part of the algorithm being compared.
 func (m *Manager) Grant(desired int) (*topo.Allotment, bool) {
-	cap := int(m.workerCap.Load())
-	if cap > 0 && desired > cap {
-		desired = cap
+	// The zone holding desired workers may overshoot the cap (zones are
+	// coarse); the largest zone that fits bounds it.
+	top := m.fit(int(m.workerCap.Load()))
+	i := 0
+	for i < top && m.zones[i].Size() < desired {
+		i++
 	}
-	targetD := m.diasporaFor(desired)
-	if targetD > m.maxDiaspora {
-		targetD = m.maxDiaspora
-	}
-	if targetD < 1 {
-		targetD = 1
-	}
-	// The zone holding `desired` workers may overshoot the cap (zones are
-	// coarse); step back to the largest zone that fits, flooring at d=1.
-	for cap > 0 && targetD > 1 && m.sizeAt(targetD) > cap {
-		targetD--
-	}
-	cur := m.current.Load()
-	if targetD == cur.Diaspora() {
-		return cur, false
-	}
-	a, err := topo.NewAllotment(m.mesh, m.source, targetD)
-	if err != nil {
+	a, cur := m.zones[i], m.current.Load()
+	if a == cur {
 		return cur, false
 	}
 	m.current.Store(a)
 	return a, true
-}
-
-// diasporaFor returns the smallest diaspora whose complete allotment holds
-// at least desired workers, clamped to the cap.
-func (m *Manager) diasporaFor(desired int) int {
-	for d := 1; d <= m.maxDiaspora; d++ {
-		a, err := topo.NewAllotment(m.mesh, m.source, d)
-		if err != nil {
-			break
-		}
-		if a.Size() >= desired {
-			return d
-		}
-	}
-	return m.maxDiaspora
 }

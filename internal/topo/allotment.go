@@ -25,11 +25,8 @@ type Allotment struct {
 // hop count d of source (source itself included). d must be >= 1: the
 // minimal allotment in the paper is "zone 1 plus the source".
 func NewAllotment(m *Mesh, source CoreID, d int) (*Allotment, error) {
-	if !m.Valid(source) {
-		return nil, fmt.Errorf("topo: invalid source core %d", source)
-	}
-	if m.Reserved(source) {
-		return nil, fmt.Errorf("topo: source core %d is reserved", source)
+	if err := checkSource(m, source); err != nil {
+		return nil, err
 	}
 	if d < 1 {
 		return nil, fmt.Errorf("topo: diaspora %d < 1", d)
@@ -52,11 +49,8 @@ func NewAllotment(m *Mesh, source CoreID, d int) (*Allotment, error) {
 // scheduler could spare, so classes are usually incomplete. The source is
 // added if absent; reserved or invalid cores are rejected.
 func NewAllotmentFromCores(m *Mesh, source CoreID, cores []CoreID) (*Allotment, error) {
-	if !m.Valid(source) {
-		return nil, fmt.Errorf("topo: invalid source core %d", source)
-	}
-	if m.Reserved(source) {
-		return nil, fmt.Errorf("topo: source core %d is reserved", source)
+	if err := checkSource(m, source); err != nil {
+		return nil, err
 	}
 	seen := make(map[CoreID]bool, len(cores)+1)
 	members := []CoreID{source}
@@ -74,6 +68,17 @@ func NewAllotmentFromCores(m *Mesh, source CoreID, cores []CoreID) (*Allotment, 
 		}
 	}
 	return newAllotmentFromMembers(m, source, members)
+}
+
+// checkSource refuses a source core that is off the mesh or reserved.
+func checkSource(m *Mesh, source CoreID) error {
+	if !m.Valid(source) {
+		return fmt.Errorf("topo: invalid source core %d", source)
+	}
+	if m.Reserved(source) {
+		return fmt.Errorf("topo: source core %d is reserved", source)
+	}
+	return nil
 }
 
 func newAllotmentFromMembers(m *Mesh, source CoreID, members []CoreID) (*Allotment, error) {
@@ -185,47 +190,53 @@ func (a *Allotment) Shrink() (next *Allotment, ok bool) {
 	return n, true
 }
 
-// ZoneSeries returns the cumulative allotment sizes for diaspora values
-// 1..maxD on mesh m with the given source; these are the sizes the system
-// scheduler steps the workload's worker count through, and the fixed sizes
-// the paper's baselines use (5, 12, 20, 27 on the 8x4/32-core platform and
-// 5, 13, 24, 35, 42, 45 on the 8x6/48-core platform).
-func ZoneSeries(m *Mesh, source CoreID, maxD int) []int {
-	out := make([]int, 0, maxD)
+// Zones returns the complete allotments of source for diaspora 1..maxD:
+// Zones[d-1] holds every usable core within hop count d of source, member
+// for member what NewAllotment(m, source, d) builds. These are the only
+// allotments the system scheduler grants (§4.1), and their sizes are the
+// paper's fixed sizes (5, 12, 20, 27 on the 8x4/32-core platform and 5,
+// 13, 24, 35, 42, 45 on the 8x6/48-core one). maxD <= 0, or beyond the
+// mesh's MaxDiaspora, means the mesh maximum, which is at least 1: a
+// single-core mesh yields the source alone.
+//
+// The table is built in one pass over the rings: the entries share one
+// member array (each is a prefix of the next), and a diaspora whose ring
+// holds no usable core repeats the previous entry.
+func Zones(m *Mesh, source CoreID, maxD int) ([]*Allotment, error) {
+	if err := checkSource(m, source); err != nil {
+		return nil, err
+	}
+	if top := max(m.MaxDiaspora(source), 1); maxD <= 0 || maxD > top {
+		maxD = top
+	}
+	members := make([]CoreID, 1, m.Usable())
+	members[0] = source
+	isMember := make([]bool, m.NumCores())
+	isMember[source] = true
+	zones := make([]*Allotment, 0, maxD)
+	var a *Allotment
 	for d := 1; d <= maxD; d++ {
-		n := 0
-		for id := CoreID(0); int(id) < m.NumCores(); id++ {
-			if m.Reserved(id) {
-				continue
-			}
-			if m.HopCount(source, id) <= d {
-				n++
+		n := len(members)
+		for _, id := range m.Ring(source, d) {
+			if !m.Reserved(id) {
+				members = append(members, id)
+				isMember[id] = true
 			}
 		}
-		out = append(out, n)
-	}
-	return out
-}
-
-// DiasporaForSize returns the smallest diaspora whose complete allotment
-// reaches at least size workers, and that allotment. ok is false when even
-// the maximum diaspora yields fewer than size workers.
-func DiasporaForSize(m *Mesh, source CoreID, size int) (d int, a *Allotment, ok bool) {
-	maxD := m.MaxDiaspora(source)
-	for d = 1; d <= maxD; d++ {
-		cur, err := NewAllotment(m, source, d)
-		if err != nil {
-			return 0, nil, false
+		if a == nil || len(members) > n {
+			a = &Allotment{
+				mesh:     m,
+				source:   source,
+				members:  members[:len(members):len(members)],
+				isMember: append([]bool(nil), isMember...),
+			}
+			if len(members) > n {
+				a.diaspora = d
+			}
 		}
-		if cur.Size() >= size {
-			return d, cur, true
-		}
+		zones = append(zones, a)
 	}
-	cur, err := NewAllotment(m, source, maxD)
-	if err != nil {
-		return 0, nil, false
-	}
-	return maxD, cur, false
+	return zones, nil
 }
 
 // String describes the allotment, e.g. "allotment src=20 d=4 size=27".

@@ -27,9 +27,24 @@ func numaPlatform(t testing.TB) (*Mesh, CoreID) {
 	return m, CoreID(28)
 }
 
+// zoneSizes returns the sizes of source's complete allotments for
+// diaspora 1..maxD.
+func zoneSizes(t testing.TB, m *Mesh, source CoreID, maxD int) []int {
+	t.Helper()
+	zones, err := Zones(m, source, maxD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, len(zones))
+	for i, a := range zones {
+		sizes[i] = a.Size()
+	}
+	return sizes
+}
+
 func TestZoneSeriesMatchesPaperSimulator(t *testing.T) {
 	m, src := simPlatform(t)
-	got := ZoneSeries(m, src, 4)
+	got := zoneSizes(t, m, src, 4)
 	want := []int{5, 12, 20, 27}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("8x4 zone series = %v, want %v (paper fixed allotments)", got, want)
@@ -38,7 +53,7 @@ func TestZoneSeriesMatchesPaperSimulator(t *testing.T) {
 
 func TestZoneSeriesMatchesPaperLinux(t *testing.T) {
 	m, src := numaPlatform(t)
-	got := ZoneSeries(m, src, 6)
+	got := zoneSizes(t, m, src, 6)
 	want := []int{5, 13, 24, 35, 42, 45}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("8x6 zone series = %v, want %v (paper fixed allotments)", got, want)
@@ -189,22 +204,72 @@ func TestZonePartition(t *testing.T) {
 	}
 }
 
-func TestDiasporaForSize(t *testing.T) {
-	m, src := simPlatform(t)
-	d, a, ok := DiasporaForSize(m, src, 20)
-	if !ok || d != 3 || a.Size() != 20 {
-		t.Fatalf("DiasporaForSize(20) = (%d, %d, %v), want (3, 20, true)", d, a.Size(), ok)
+// TestZonesMatchNewAllotment holds every entry of the zone table to the
+// allotment NewAllotment builds from scratch, member for member, up to the
+// mesh maximum.
+func TestZonesMatchNewAllotment(t *testing.T) {
+	sim, simSrc := simPlatform(t)
+	numa, numaSrc := numaPlatform(t)
+	// On 8x4 from core 9 = (1,1), ring 7 is {7, 23, 30} and ring 8 is {31}:
+	// reserving ring 7 leaves a diaspora whose zone adds nothing.
+	holed := MustMesh(8, 4)
+	holed.Reserve(7, 23, 30)
+	cases := []struct {
+		name    string
+		m       *Mesh
+		src     CoreID
+		wantLen int
+	}{
+		{"sim 8x4", sim, simSrc, 5},
+		{"numa 8x6", numa, numaSrc, 6},
+		{"1-D 32", MustMesh(32), 5, 26},
+		{"reserved ring", holed, 9, 8},
+		{"single core", MustMesh(1), 0, 1},
 	}
-	d, a, ok = DiasporaForSize(m, src, 13)
-	if !ok || d != 3 || a.Size() != 20 {
-		t.Fatalf("DiasporaForSize(13) = (%d, %d, %v), want (3, 20, true)", d, a.Size(), ok)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			zones, err := Zones(c.m, c.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(zones) != c.wantLen {
+				t.Fatalf("len(Zones) = %d, want %d", len(zones), c.wantLen)
+			}
+			for d := 1; d <= len(zones); d++ {
+				want, err := NewAllotment(c.m, c.src, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := zones[d-1]
+				if !reflect.DeepEqual(got.Members(), want.Members()) || got.Diaspora() != want.Diaspora() {
+					t.Fatalf("Zones[%d] = %v %v, NewAllotment(%d) = %v %v",
+						d-1, got, got.Members(), d, want, want.Members())
+				}
+				for id := CoreID(0); int(id) < c.m.NumCores(); id++ {
+					if got.Contains(id) != want.Contains(id) {
+						t.Fatalf("Zones[%d].Contains(%d) = %v", d-1, id, got.Contains(id))
+					}
+				}
+			}
+		})
 	}
-	_, a, ok = DiasporaForSize(m, src, 1000)
-	if ok {
-		t.Fatal("size 1000 cannot be satisfied on 30 usable cores")
+	// The reserved ring adds nothing: its entry is the one before it.
+	zones, _ := Zones(holed, 9, 0)
+	if zones[6] != zones[5] {
+		t.Fatal("a zone with no usable core must repeat the previous entry")
 	}
-	if a.Size() != 30 {
-		t.Fatalf("fallback allotment size = %d, want 30", a.Size())
+	// An explicit maxD caps the table; one beyond the mesh is clamped.
+	if got := zoneSizes(t, sim, simSrc, 4); len(got) != 4 {
+		t.Fatalf("Zones(maxD=4) has %d entries", len(got))
+	}
+	if got := zoneSizes(t, sim, simSrc, 99); len(got) != 5 {
+		t.Fatalf("Zones(maxD=99) has %d entries, want the mesh maximum 5", len(got))
+	}
+	if _, err := Zones(sim, 0, 0); err == nil {
+		t.Error("reserved source must fail")
+	}
+	if _, err := Zones(sim, 99, 0); err == nil {
+		t.Error("invalid source must fail")
 	}
 }
 

@@ -318,8 +318,11 @@ func BenchmarkClassify27(b *testing.B) {
 func BenchmarkZoneSeries(b *testing.B) {
 	m := MustMesh(8, 6)
 	m.Reserve(0, 1, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ZoneSeries(m, 28, 6)
+		if _, err := Zones(m, 28, 6); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func TestClassify1DEdgeClipping(t *testing.T) {
 
 func TestZoneSeries1D(t *testing.T) {
 	m := MustMesh(32)
-	got := ZoneSeries(m, 16, 4)
+	got := zoneSizes(t, m, 16, 4)
 	want := []int{3, 5, 7, 9} // 1 + 2d for an unclipped row
 	for i := range want {
 		if got[i] != want[i] {

@@ -86,8 +86,6 @@ type Config struct {
 	Source topo.CoreID
 	// InitialDiaspora sets the starting allotment (default 1).
 	InitialDiaspora int
-	// MaxDiaspora caps growth (default: mesh maximum).
-	MaxDiaspora int
 	// Policy selects victim selection: "dvs" (default) or "random".
 	Policy string
 	// Seed drives the random policy.
@@ -275,9 +273,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 2 * time.Millisecond
 	}
-	if cfg.InitialDiaspora == 0 {
-		cfg.InitialDiaspora = 1
-	}
 	// Clamp to the topology: InitialDiaspora beyond the mesh means "start
 	// with every usable core".
 	if max := cfg.Mesh.MaxDiaspora(cfg.Source); cfg.InitialDiaspora > max && max >= 1 {
@@ -289,11 +284,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.SubmitQueueCap <= 0 {
 		cfg.SubmitQueueCap = 64
 	}
-	opts := []sysched.Option{sysched.WithInitialDiaspora(cfg.InitialDiaspora)}
-	if cfg.MaxDiaspora > 0 {
-		opts = append(opts, sysched.WithMaxDiaspora(cfg.MaxDiaspora))
-	}
-	mgr, err := sysched.NewManager(cfg.Mesh, cfg.Source, opts...)
+	mgr, err := sysched.NewManager(cfg.Mesh, cfg.Source, cfg.InitialDiaspora, 0)
 	if err != nil {
 		return nil, err
 	}
