@@ -94,13 +94,18 @@ func run(dims string, source, d int, reserved string, series bool) error {
 		return err
 	}
 	if reserved != "" {
+		var ids []topo.CoreID
 		for _, part := range strings.Split(reserved, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad reserved list %q: %w", reserved, err)
 			}
-			m.Reserve(topo.CoreID(v))
+			if !m.Valid(topo.CoreID(v)) {
+				return fmt.Errorf("reserved core %d is not on %s", v, m)
+			}
+			ids = append(ids, topo.CoreID(v))
 		}
+		m.Reserve(ids...)
 	}
 	if series {
 		zones, err := topo.Zones(m, topo.CoreID(source), 0)

@@ -34,6 +34,10 @@ func TestRunBadInput(t *testing.T) {
 	if err := run("8x4", 99, 1, "", false); err == nil {
 		t.Fatal("invalid source must fail")
 	}
+	// The default -reserved 0,1 names core 1, which a one-core mesh lacks.
+	if err := run("1", 0, 1, "0,1", true); err == nil || !strings.Contains(err.Error(), "reserved core 1") {
+		t.Fatalf("reserving a core off the mesh must fail with a flag error, got %v", err)
+	}
 }
 
 // TestRunCluster renders a gossip view table from a stub /cluster

@@ -61,7 +61,8 @@ type Snapshot struct {
 	// Allotment is the currently granted allotment (draining workers
 	// excluded).
 	Allotment *topo.Allotment
-	// Class is the classification of Allotment.
+	// Class is the classification of Allotment, built with it
+	// (topo.Classify reads it).
 	Class *topo.Classification
 	// Workers holds per-worker state for every granted member, indexed by
 	// core id (absent cores map to nil).

@@ -22,10 +22,12 @@ import "palirria/internal/topo"
 // the source.
 //
 // Because the queue sizes are maintained anyway by the spawn and sync
-// operations, evaluating the DMC costs a handful of comparisons per quantum
-// — the low-overhead property the paper claims over cycle-counter
-// estimators. EstimateCost in this package exposes the number of workers
-// inspected so the overhead ablation can report it.
+// operations, and the allotment carries its classification, O_i sets and
+// neighbouring zone sizes from construction, evaluating the DMC costs a
+// handful of comparisons per quantum and allocates nothing — the
+// low-overhead property the paper claims over cycle-counter estimators.
+// EstimateCost in this package exposes the number of workers inspected so
+// the overhead ablation can report it.
 type Palirria struct {
 	// LOffset tunes the threshold: L_i = µ(O_i) + LOffset. The paper notes
 	// values like µ(O_i)+1 ("but not constant") tune the model's tolerance.
@@ -44,23 +46,16 @@ func NewPalirria() *Palirria { return &Palirria{} }
 // Name implements Estimator.
 func (p *Palirria) Name() string { return "palirria" }
 
-// Estimate implements Estimator by evaluating the DMC.
+// Estimate implements Estimator by evaluating the DMC: the allotment's
+// size one zone out on an increase, one zone in on a decrease.
 func (p *Palirria) Estimate(s *Snapshot) int {
-	cur := s.Allotment.Size()
 	switch p.Decide(s) {
 	case Increase:
-		if next, ok := s.Allotment.Grow(); ok {
-			return next.Size()
-		}
-		return cur
+		return s.Allotment.GrownSize()
 	case Decrease:
-		if next, ok := s.Allotment.Shrink(); ok {
-			return next.Size()
-		}
-		return cur
-	default:
-		return cur
+		return s.Allotment.ShrunkSize()
 	}
+	return s.Allotment.Size()
 }
 
 // Granted implements Estimator. Palirria derives nothing from the grant:

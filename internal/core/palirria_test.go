@@ -220,6 +220,45 @@ func TestPalirriaEstimateCost(t *testing.T) {
 	}
 }
 
+// TestPalirriaAllocatesNothing holds the per-quantum decision to reads of
+// what the allotment stored when it was built: on the 8x4 27-worker
+// allotment Decide, Estimate and ThresholdL allocate nothing, whichever
+// way the DMC goes, and Estimate answers the neighbouring zone sizes.
+func TestPalirriaAllocatesNothing(t *testing.T) {
+	cases := []struct {
+		want Decision
+		size int
+		mark int // every worker's µ(Q) high-water mark
+		busy bool
+	}{
+		{Keep, 27, 0, true},
+		{Increase, 30, 100, true},
+		{Decrease, 20, 0, false},
+	}
+	for _, tc := range cases {
+		s := snap(t, 4, func(c *topo.Classification, ws map[topo.CoreID]*WorkerSnapshot) {
+			for _, w := range ws {
+				w.MaxQueueLen, w.Busy = tc.mark, tc.busy
+			}
+		})
+		p := NewPalirria()
+		if got := p.Decide(s); got != tc.want {
+			t.Fatalf("Decide = %v, want %v", got, tc.want)
+		}
+		if got := p.Estimate(s); got != tc.size {
+			t.Fatalf("%v: Estimate = %d, want %d", tc.want, got, tc.size)
+		}
+		w := s.Class.X()[0]
+		if allocs := testing.AllocsPerRun(100, func() {
+			p.Decide(s)
+			p.Estimate(s)
+			p.ThresholdL(s, w)
+		}); allocs != 0 {
+			t.Fatalf("%v: Decide+Estimate+ThresholdL allocate %.0f times", tc.want, allocs)
+		}
+	}
+}
+
 func TestPalirriaName(t *testing.T) {
 	if NewPalirria().Name() != "palirria" {
 		t.Fatal("name wrong")

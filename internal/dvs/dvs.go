@@ -29,6 +29,7 @@
 package dvs
 
 import (
+	"slices"
 	"sort"
 
 	"palirria/internal/topo"
@@ -320,6 +321,29 @@ func absInt(v int) int {
 		return -v
 	}
 	return v
+}
+
+// ForResident builds the policy named name — "random", "roundrobin", or
+// anything else for DVS — over the resident set: the granted allotment
+// plus the draining extras, which stay victims until they retire. seed
+// drives the random policy. With no extras, or extras that cannot join the
+// grant, the resident set is the granted allotment itself. It returns the
+// policy and the resident allotment.
+func ForResident(granted *topo.Allotment, extra []topo.CoreID, name string, seed uint64) (Policy, *topo.Allotment) {
+	resident := granted
+	if len(extra) > 0 {
+		cores := append(slices.Clone(granted.Members()), extra...)
+		if a, err := topo.NewAllotmentFromCores(granted.Mesh(), granted.Source(), cores); err == nil {
+			resident = a
+		}
+	}
+	switch name {
+	case "random":
+		return NewRandom(resident, seed), resident
+	case "roundrobin":
+		return NewRoundRobin(resident), resident
+	}
+	return New(topo.Classify(resident)), resident
 }
 
 // Random is the traditional random victim selection policy: each call

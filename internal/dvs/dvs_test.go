@@ -372,3 +372,25 @@ func TestZClassOuterTierEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestForResident pins the one policy constructor both platforms use:
+// the name switch, the granted allotment used as it is when nothing
+// drains, draining extras joining the resident set, and the fallback to
+// the grant when an extra cannot join.
+func TestForResident(t *testing.T) {
+	granted := sim5(t).Allotment()
+	for name, want := range map[string]string{"random": "random", "roundrobin": "roundrobin", "dvs": "dvs", "": "dvs"} {
+		p, resident := ForResident(granted, nil, name, 1)
+		if p.Name() != want || resident != granted {
+			t.Fatalf("%q: policy %s over %v, want %s over the grant", name, p.Name(), resident, want)
+		}
+	}
+	const draining = topo.CoreID(22) // two hops from source 20
+	p, resident := ForResident(granted, []topo.CoreID{draining}, "dvs", 1)
+	if resident.Size() != granted.Size()+1 || !resident.Contains(draining) || len(p.Victims(draining)) == 0 {
+		t.Fatalf("draining core %d not resident: %v, victims %v", draining, resident, p.Victims(draining))
+	}
+	if _, resident := ForResident(granted, []topo.CoreID{0}, "dvs", 1); resident != granted {
+		t.Fatalf("a reserved extra must fall back to the grant, got %v", resident)
+	}
+}

@@ -607,35 +607,13 @@ func (e *engine) newWorker(id topo.CoreID, j *jobState) *worker {
 // members plus draining workers, which remain victims until they retire
 // (§4.1.1).
 func (e *engine) rebuildPolicy(j *jobState) {
-	resident := e.residentAllotment(j)
-	switch j.policy {
-	case "random":
-		j.victims = dvs.NewRandom(resident, e.seed^uint64(j.idx)*0x9e3779b97f4a7c15)
-	case "roundrobin":
-		j.victims = dvs.NewRoundRobin(resident)
-	default:
-		j.victims = dvs.New(topo.Classify(resident))
-	}
-}
-
-// residentAllotment is the job's granted allotment plus its draining
-// workers.
-func (e *engine) residentAllotment(j *jobState) *topo.Allotment {
 	var extra []topo.CoreID
 	for _, w := range e.workers {
 		if w != nil && w.job == j && w.draining && !w.retired && !j.granted.Contains(w.id) {
 			extra = append(extra, w.id)
 		}
 	}
-	if len(extra) == 0 {
-		return j.granted
-	}
-	cores := append(append([]topo.CoreID(nil), j.granted.Members()...), extra...)
-	a, err := topo.NewAllotmentFromCores(e.mesh, j.source, cores)
-	if err != nil {
-		return j.granted
-	}
-	return a
+	j.victims, _ = dvs.ForResident(j.granted, extra, j.policy, e.seed^uint64(j.idx)*0x9e3779b97f4a7c15)
 }
 
 // schedule (re)schedules w's next activation at time t, superseding any

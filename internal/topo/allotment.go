@@ -11,7 +11,9 @@ import (
 // exactly k; the allotment changes size one whole zone at a time (§4.1 of
 // the paper: "a zone is the unit at which the size of an allotment changes").
 //
-// Allotment is immutable; Grow and Shrink return new values. This makes it
+// An allotment is classified when it is built (see Classify), and it
+// records the two sizes the estimator moves between: one zone out and one
+// zone in. Nothing changes after construction, which makes an allotment
 // safe to share between the runtime scheduler and the estimation helper.
 type Allotment struct {
 	mesh     *Mesh
@@ -19,6 +21,10 @@ type Allotment struct {
 	diaspora int
 	members  []CoreID // sorted by (zone, id); includes source
 	isMember []bool   // indexed by CoreID
+	class    *Classification
+	// grownSize and shrunkSize are the sizes with the complete next zone
+	// Z_{d+1} added and with the outermost zone Z_d removed.
+	grownSize, shrunkSize int
 }
 
 // NewAllotment builds the complete allotment of all usable cores within
@@ -101,7 +107,28 @@ func newAllotmentFromMembers(m *Mesh, source CoreID, members []CoreID) (*Allotme
 		}
 		return a.members[i] < a.members[j]
 	})
+	a.settle()
 	return a, nil
+}
+
+// settle completes a new allotment: it records the sizes one zone out and
+// one zone in, and classifies it.
+func (a *Allotment) settle() {
+	m := a.mesh
+	out, in := 0, 0
+	for id := CoreID(0); int(id) < m.NumCores(); id++ {
+		switch hc := m.HopCount(a.source, id); {
+		case hc == a.diaspora+1 && !m.Reserved(id):
+			out++
+		case hc < a.diaspora && a.isMember[id]:
+			in++
+		}
+	}
+	a.grownSize, a.shrunkSize = a.Size()+out, a.Size()
+	if a.diaspora > 1 {
+		a.shrunkSize = in
+	}
+	a.class = classify(a)
 }
 
 // Mesh returns the topology the allotment lives on.
@@ -115,6 +142,16 @@ func (a *Allotment) Diaspora() int { return a.diaspora }
 
 // Size returns the number of workers, including the source.
 func (a *Allotment) Size() int { return len(a.members) }
+
+// GrownSize returns the size with the complete next zone Z_{d+1} added:
+// Size() plus the usable cores at distance d+1, or Size() when there are
+// none.
+func (a *Allotment) GrownSize() int { return a.grownSize }
+
+// ShrunkSize returns the size with the outermost zone Z_d removed: the
+// members below distance d, or Size() at the minimum (d <= 1), which
+// never shrinks.
+func (a *Allotment) ShrunkSize() int { return a.shrunkSize }
 
 // Members returns all member cores sorted by (zone, id). The slice is shared;
 // callers must not modify it.
@@ -144,50 +181,6 @@ func (a *Allotment) Zone(k int) []CoreID {
 		}
 	}
 	return out
-}
-
-// Grow returns the allotment extended by the complete next zone Z_{d+1}
-// (all usable cores at distance d+1). ok is false — and the receiver is
-// returned unchanged — when no usable cores exist at distance d+1.
-func (a *Allotment) Grow() (next *Allotment, ok bool) {
-	d := a.diaspora + 1
-	added := false
-	members := append([]CoreID(nil), a.members...)
-	for _, id := range a.mesh.Ring(a.source, d) {
-		if a.mesh.Reserved(id) || a.isMember[id] {
-			continue
-		}
-		members = append(members, id)
-		added = true
-	}
-	if !added {
-		return a, false
-	}
-	n, err := newAllotmentFromMembers(a.mesh, a.source, members)
-	if err != nil {
-		return a, false
-	}
-	return n, true
-}
-
-// Shrink returns the allotment with the outermost zone Z_d removed. ok is
-// false — and the receiver is returned unchanged — when the allotment is
-// already at the minimum (zone 1 plus the source).
-func (a *Allotment) Shrink() (next *Allotment, ok bool) {
-	if a.diaspora <= 1 {
-		return a, false
-	}
-	var members []CoreID
-	for _, id := range a.members {
-		if a.mesh.HopCount(a.source, id) < a.diaspora {
-			members = append(members, id)
-		}
-	}
-	n, err := newAllotmentFromMembers(a.mesh, a.source, members)
-	if err != nil {
-		return a, false
-	}
-	return n, true
 }
 
 // Zones returns the complete allotments of source for diaspora 1..maxD:
@@ -233,6 +226,7 @@ func Zones(m *Mesh, source CoreID, maxD int) ([]*Allotment, error) {
 			if len(members) > n {
 				a.diaspora = d
 			}
+			a.settle()
 		}
 		zones = append(zones, a)
 	}

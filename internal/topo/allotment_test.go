@@ -116,44 +116,37 @@ func TestMembersSortedByZoneThenID(t *testing.T) {
 	}
 }
 
+// TestGrowShrinkRoundTrip walks the complete allotments outward: each
+// one's GrownSize is the next one's size and its ShrunkSize the previous
+// one's, with the minimal allotment shrinking to itself.
 func TestGrowShrinkRoundTrip(t *testing.T) {
 	m, src := simPlatform(t)
-	a, _ := NewAllotment(m, src, 1)
-	sizes := []int{a.Size()}
-	for {
-		next, ok := a.Grow()
-		if !ok {
-			break
-		}
-		a = next
-		sizes = append(sizes, a.Size())
-	}
 	// 8x4 with 2 reserved: 5, 12, 20, 27, then 30 (the three far edge cores).
 	want := []int{5, 12, 20, 27, 30}
-	if !reflect.DeepEqual(sizes, want) {
-		t.Fatalf("grow series = %v, want %v", sizes, want)
-	}
-	// Shrink all the way back down.
-	for i := len(want) - 2; i >= 0; i-- {
-		next, ok := a.Shrink()
-		if !ok {
-			t.Fatalf("shrink failed at step %d", i)
+	for i, n := range want {
+		a, err := NewAllotment(m, src, i+1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a = next
-		if a.Size() != want[i] {
-			t.Fatalf("shrink size = %d, want %d", a.Size(), want[i])
+		grown, shrunk := n, n
+		if i+1 < len(want) {
+			grown = want[i+1]
 		}
-	}
-	if _, ok := a.Shrink(); ok {
-		t.Fatal("shrinking below the minimum must fail")
+		if i > 0 {
+			shrunk = want[i-1]
+		}
+		if a.Size() != n || a.GrownSize() != grown || a.ShrunkSize() != shrunk {
+			t.Fatalf("d=%d: size/grown/shrunk = %d/%d/%d, want %d/%d/%d",
+				i+1, a.Size(), a.GrownSize(), a.ShrunkSize(), n, grown, shrunk)
+		}
 	}
 }
 
 func TestGrowAtMaxFails(t *testing.T) {
 	m, src := simPlatform(t)
 	a, _ := NewAllotment(m, src, m.MaxDiaspora(src))
-	if _, ok := a.Grow(); ok {
-		t.Fatal("growing past the last zone must report !ok")
+	if a.GrownSize() != a.Size() {
+		t.Fatalf("growing past the last zone must add nothing: %d -> %d", a.Size(), a.GrownSize())
 	}
 }
 
@@ -241,7 +234,9 @@ func TestZonesMatchNewAllotment(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := zones[d-1]
-				if !reflect.DeepEqual(got.Members(), want.Members()) || got.Diaspora() != want.Diaspora() {
+				if !reflect.DeepEqual(got.Members(), want.Members()) || got.Diaspora() != want.Diaspora() ||
+					got.GrownSize() != want.GrownSize() || got.ShrunkSize() != want.ShrunkSize() ||
+					!reflect.DeepEqual(Classify(got).classOf, Classify(want).classOf) {
 					t.Fatalf("Zones[%d] = %v %v, NewAllotment(%d) = %v %v",
 						d-1, got, got.Members(), d, want, want.Members())
 				}

@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Class is a worker's DVS classification within an allotment.
 //
@@ -63,28 +66,53 @@ func (c Class) IsX() bool { return c == ClassX || c == ClassXZ }
 func (c Class) IsZ() bool { return c == ClassZ || c == ClassXZ }
 
 // Classification holds the per-core classes of one allotment plus the
-// derived neighbour sets DVS and the DMC need.
+// derived neighbour sets DVS and the DMC need. It is built once, with its
+// allotment, and never changes.
 type Classification struct {
 	a       *Allotment
 	classOf []Class // indexed by CoreID
 	x, z, f []CoreID
+	outer   [][]CoreID // indexed by CoreID: O_w of each member
 }
 
-// Classify computes the X/Z/F classification of allotment a.
-func Classify(a *Allotment) *Classification {
-	m := a.Mesh()
+// Classify returns the X/Z/F classification of allotment a. It does no
+// work: the classification is built with the allotment, so every call
+// returns the same value.
+func Classify(a *Allotment) *Classification { return a.class }
+
+// classify computes the classification of a new allotment. One scan of
+// each member's distance-1 neighbours counts the inner ones (the X
+// definition) and records the outer ones (O_w).
+func classify(a *Allotment) *Classification {
+	m := a.mesh
 	c := &Classification{
 		a:       a,
 		classOf: make([]Class, m.NumCores()),
+		outer:   make([][]CoreID, m.NumCores()),
 	}
-	d := a.Diaspora()
-	for _, w := range a.Members() {
-		if w == a.Source() {
+	var outer []CoreID // backs every O_w
+	for _, w := range a.members {
+		zw := m.HopCount(a.source, w)
+		inner, o := 0, len(outer)
+		for _, n := range m.Neighbors(w) {
+			if !a.isMember[n] {
+				continue
+			}
+			switch m.HopCount(a.source, n) {
+			case zw - 1:
+				inner++
+			case zw + 1:
+				outer = append(outer, n)
+			}
+		}
+		// Clipped, so a caller appending to O_w copies it instead of
+		// writing into the next member's list.
+		c.outer[w] = outer[o:len(outer):len(outer)]
+		if w == a.source {
 			c.classOf[w] = ClassSource
 			continue
 		}
-		isZ := a.ZoneOf(w) == d
-		isX := len(c.innerNeighbors(w)) == 1
+		isX, isZ := inner == 1, zw == a.diaspora
 		switch {
 		case isX && isZ:
 			c.classOf[w] = ClassXZ
@@ -94,6 +122,7 @@ func Classify(a *Allotment) *Classification {
 			c.classOf[w] = ClassZ
 		default:
 			c.classOf[w] = ClassF
+			c.f = append(c.f, w)
 		}
 		if isX {
 			c.x = append(c.x, w)
@@ -101,10 +130,8 @@ func Classify(a *Allotment) *Classification {
 		if isZ {
 			c.z = append(c.z, w)
 		}
-		if !isX && !isZ {
-			c.f = append(c.f, w)
-		}
 	}
+	c.x, c.z, c.f = slices.Clip(c.x), slices.Clip(c.z), slices.Clip(c.f)
 	return c
 }
 
@@ -130,9 +157,9 @@ func (c *Classification) Z() []CoreID { return c.z }
 // F returns the remaining workers (excluding the source).
 func (c *Classification) F() []CoreID { return c.f }
 
-// innerNeighbors returns the allotted distance-1 neighbours of w that lie
-// one zone closer to the source.
-func (c *Classification) innerNeighbors(w CoreID) []CoreID {
+// InnerNeighbors returns the allotted distance-1 neighbours of member w one
+// zone closer to the source (the candidates a class-X worker pulls from).
+func (c *Classification) InnerNeighbors(w CoreID) []CoreID {
 	m := c.a.Mesh()
 	zw := c.a.ZoneOf(w)
 	var out []CoreID
@@ -144,27 +171,14 @@ func (c *Classification) innerNeighbors(w CoreID) []CoreID {
 	return out
 }
 
-// InnerNeighbors returns the allotted distance-1 neighbours of member w one
-// zone closer to the source (the candidates a class-X worker pulls from).
-func (c *Classification) InnerNeighbors(w CoreID) []CoreID {
-	return c.innerNeighbors(w)
-}
-
 // OuterVictims returns O_w: the allotted distance-1 neighbours of member w
-// located in its outer zone. Per Definition 1, these are simultaneously w's
-// victims and workers that steal from w. µ(O_w) is the theoretical bound for
-// the threshold L in the DMC increase condition.
-func (c *Classification) OuterVictims(w CoreID) []CoreID {
-	m := c.a.Mesh()
-	zw := c.a.ZoneOf(w)
-	var out []CoreID
-	for _, n := range m.Neighbors(w) {
-		if c.a.Contains(n) && c.a.ZoneOf(n) == zw+1 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// located in its outer zone, in Neighbors order. Per Definition 1, these
+// are simultaneously w's victims and workers that steal from w. µ(O_w) is
+// the theoretical bound for the threshold L in the DMC increase condition.
+// The slice is the stored one, shared and clipped to its length: callers
+// must not modify it, and appending to it copies. It is empty for a
+// non-member.
+func (c *Classification) OuterVictims(w CoreID) []CoreID { return c.outer[w] }
 
 // RingNeighbors returns the allotted diagonal neighbours of member w in the
 // same zone — the "diagonally left and right" candidates Z members steal

@@ -42,19 +42,7 @@ func (r *Runtime) rebuildPolicy() {
 			extra = append(extra, w.id)
 		}
 	}
-	resident := granted
-	if len(extra) > 0 {
-		cores := append(append([]topo.CoreID(nil), granted.Members()...), extra...)
-		if a, err := topo.NewAllotmentFromCores(r.mesh, granted.Source(), cores); err == nil {
-			resident = a
-		}
-	}
-	var p dvs.Policy
-	if r.cfg.Policy == "random" {
-		p = dvs.NewRandom(resident, r.cfg.Seed)
-	} else {
-		p = dvs.New(topo.Classify(resident))
-	}
+	p, resident := dvs.ForResident(granted, extra, r.cfg.Policy, r.cfg.Seed)
 	// Reverse the victim lists into a wake graph. The bundle is built
 	// before it is published, so probing Victims here cannot race worker
 	// calls (the random policy's per-worker streams are not shared until

@@ -86,7 +86,8 @@ type Config struct {
 	Source topo.CoreID
 	// InitialDiaspora sets the starting allotment (default 1).
 	InitialDiaspora int
-	// Policy selects victim selection: "dvs" (default) or "random".
+	// Policy selects victim selection: "dvs" (the default), "random" or
+	// "roundrobin"; any other name means DVS (see dvs.ForResident).
 	Policy string
 	// Seed drives the random policy.
 	Seed uint64
