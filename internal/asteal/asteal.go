@@ -121,39 +121,25 @@ func (a *ASteal) Granted(workers int) { a.granted = workers }
 // Desire returns the current real-valued desire (for tests and traces).
 func (a *ASteal) Desire() float64 { return a.desire }
 
-// Introspect implements core.Introspector: it exposes the utilization
+// Introspect implements core.Introspector: it records the utilization
 // inputs behind the last Estimate. Inputs: wasted_cycles, total_cycles,
 // inefficient (0/1), satisfied (0/1), desire (the real-valued state),
-// delta, rho.
-func (a *ASteal) Introspect(s *core.Snapshot) *core.Introspection {
+// delta, rho. The decision is the Controller's default, the direction of
+// the raw desire.
+func (a *ASteal) Introspect(s *core.Snapshot, ex *core.Explanation) {
 	b2f := func(b bool) float64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	in := &core.Introspection{
-		Decision: core.DecisionOf(s.Allotment.Size(), a.lastDesire),
-		Inputs: map[string]float64{
-			"wasted_cycles": float64(a.lastInputs.wasted),
-			"total_cycles":  float64(a.lastInputs.total),
-			"inefficient":   b2f(a.lastInputs.inefficient),
-			"satisfied":     b2f(a.lastInputs.satisfied),
-			"desire":        a.desire,
-			"delta":         a.Delta,
-			"rho":           a.Rho,
-		},
+	ex.Inputs = map[string]float64{
+		"wasted_cycles": float64(a.lastInputs.wasted),
+		"total_cycles":  float64(a.lastInputs.total),
+		"inefficient":   b2f(a.lastInputs.inefficient),
+		"satisfied":     b2f(a.lastInputs.satisfied),
+		"desire":        a.desire,
+		"delta":         a.Delta,
+		"rho":           a.Rho,
 	}
-	for _, id := range s.Allotment.Members() {
-		iw := core.IntrospectedWorker{ID: id}
-		if ws := s.Workers[id]; ws != nil {
-			iw.QueueLen = ws.QueueLen
-			iw.MaxQueueLen = ws.MaxQueueLen
-			iw.Busy = ws.Busy
-			iw.Draining = ws.Draining
-			iw.WastedCycles = ws.WastedCycles
-		}
-		in.Workers = append(in.Workers, iw)
-	}
-	return in
 }

@@ -77,22 +77,13 @@ type Controller struct {
 	// the filter ablation).
 	Filter *Filter
 
-	last StepInfo
+	// cur is the quantum in progress: Step fills its Raw and Desired,
+	// Record its Time and Granted before logging it.
+	cur metrics.Decision
 	// wasted holds each core's cumulative wasted counter as of its last
 	// Sample; log holds every Recorded quantum.
 	wasted map[topo.CoreID]int64
 	log    metrics.Log
-}
-
-// StepInfo records the two stages of one quantum's decision: the
-// estimator's raw answer and what the false-positive filter let through.
-// The observability layer reads it to make filtered decisions
-// explainable.
-type StepInfo struct {
-	// Raw is the estimator's unfiltered desired worker count.
-	Raw int
-	// Filtered is the count forwarded to the system layer.
-	Filtered int
 }
 
 // NewController returns a controller over est with the default filter.
@@ -132,27 +123,26 @@ func (c *Controller) Sample(a *topo.Allotment, quantum, now int64, read func(*Wo
 // request. Callers must afterwards inform the estimator of the actual grant
 // via Record (or Granted, which leaves no log entry).
 func (c *Controller) Step(s *Snapshot) int {
-	desired := c.Est.Estimate(s)
-	c.last.Raw = desired
+	raw := c.Est.Estimate(s)
+	desired := raw
 	if c.Filter != nil {
-		desired = c.Filter.Apply(s.Allotment.Size(), desired)
+		desired = c.Filter.Apply(s.Allotment.Size(), raw)
 	}
-	c.last.Filtered = desired
+	c.cur.Raw, c.cur.Desired = raw, desired
 	return desired
 }
-
-// Last returns the raw and filtered desire of the most recent Step.
-func (c *Controller) Last() StepInfo { return c.last }
 
 // Granted forwards the grant outcome to the estimator.
 func (c *Controller) Granted(workers int) { c.Est.Granted(workers) }
 
 // Record closes a quantum at time now: it forwards the granted size to
 // the estimator, as Granted does, and appends the quantum's decision to
-// the log.
-func (c *Controller) Record(now int64, granted int) {
+// the log and returns it.
+func (c *Controller) Record(now int64, granted int) metrics.Decision {
 	c.Est.Granted(granted)
-	c.log.Add(metrics.Decision{Time: now, Estimator: c.Est.Name(), Desired: c.last.Filtered, Granted: granted})
+	c.cur.Time, c.cur.Granted = now, granted
+	c.log.Add(c.cur)
+	return c.cur
 }
 
 // Decisions returns the log of Recorded quanta. A nil controller, a run

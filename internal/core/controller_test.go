@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"palirria/internal/metrics"
@@ -96,7 +97,7 @@ func (f *fakeEst) Estimate(s *Snapshot) int {
 func (f *fakeEst) Granted(w int) { f.granted = append(f.granted, w) }
 
 func TestControllerStepAndGranted(t *testing.T) {
-	est := &fakeEst{script: []int{12, 5, 5}}
+	est := &fakeEst{script: []int{12, 5, 5, 3}}
 	c := NewController(est)
 	s := snap(t, 1, nil) // size 5
 	if got := c.Step(s); got != 12 {
@@ -116,13 +117,25 @@ func TestControllerStepAndGranted(t *testing.T) {
 	if n := len(c.Decisions().Decisions()); n != 0 {
 		t.Fatalf("Granted logged %d decisions, want 0", n)
 	}
-	c.Record(300, 5)
-	ds := c.Decisions().Decisions()
-	want := metrics.Decision{Time: 300, Estimator: "fake", Desired: 5, Granted: 5}
-	if len(ds) != 1 || ds[0] != want {
-		t.Fatalf("Decisions = %+v, want [%+v]", ds, want)
+	want := []metrics.Decision{
+		{Time: 300, Raw: 5, Desired: 5, Granted: 5},
+		// The filter holds the first quantum of a decrease back: the
+		// record keeps both stages.
+		{Time: 400, Raw: 3, Desired: 5, Granted: 5},
 	}
-	if len(est.granted) != 2 || est.granted[0] != 12 || est.granted[1] != 5 {
+	if got := c.Record(300, 5); got != want[0] {
+		t.Fatalf("Record = %+v, want %+v", got, want[0])
+	}
+	if got := c.Step(s); got != 5 {
+		t.Fatalf("step 4 = %d, want filtered 5", got)
+	}
+	if got := c.Record(400, 5); got != want[1] {
+		t.Fatalf("Record = %+v, want %+v", got, want[1])
+	}
+	if ds := c.Decisions().Decisions(); !slices.Equal(ds, want) {
+		t.Fatalf("Decisions = %+v, want %+v", ds, want)
+	}
+	if !slices.Equal(est.granted, []int{12, 5, 5}) {
 		t.Fatalf("granted log = %v", est.granted)
 	}
 	// A fixed-allotment run has no controller; reports still get a log.

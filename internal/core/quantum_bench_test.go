@@ -82,7 +82,7 @@ func BenchmarkControllerQuantum(b *testing.B) {
 						now += quantum
 						ctl.Granted(ctl.Step(ctl.Sample(a, quantum, now, read)))
 					}
-					if got := core.DecisionOf(a.Size(), ctl.Last().Raw); got != tc.want {
+					if got := core.DecisionOf(a.Size(), ctl.Record(now, a.Size()).Raw); got != tc.want {
 						b.Fatalf("raw decision %v, want %v", got, tc.want)
 					}
 				})

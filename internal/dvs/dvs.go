@@ -95,10 +95,10 @@ func New(c *topo.Classification) *DVS {
 func (d *DVS) ensureFlowConnected(a *topo.Allotment) {
 	roots := []topo.CoreID{a.Source()}
 	for {
-		reached := d.reachable(a, roots)
+		reached := stealDistances(a, d.Victims, roots)
 		members := 0
 		for _, w := range a.Members() {
-			if reached[w] {
+			if _, ok := reached[w]; ok {
 				members++
 			}
 		}
@@ -129,17 +129,17 @@ func (d *DVS) ensureFlowConnected(a *topo.Allotment) {
 // determinism) gets a victim edge from the worker to the member,
 // connecting the worker — and everything downstream of it — into the
 // flow. The caller guarantees at least one reached and one unreached
-// member exist.
-func (d *DVS) bridgeOne(a *topo.Allotment, reached map[topo.CoreID]bool) {
+// member exist; reached holds the reached cores (see stealDistances).
+func (d *DVS) bridgeOne(a *topo.Allotment, reached map[topo.CoreID]int) {
 	m := a.Mesh()
 	bestW, bestR := topo.NoCore, topo.NoCore
 	bestDist := 1 << 30
 	for _, w := range a.Members() {
-		if reached[w] {
+		if _, ok := reached[w]; ok {
 			continue
 		}
 		for _, r := range a.Members() {
-			if !reached[r] {
+			if _, ok := reached[r]; !ok {
 				continue
 			}
 			dist := m.HopCount(w, r)
@@ -153,36 +153,6 @@ func (d *DVS) bridgeOne(a *topo.Allotment, reached map[topo.CoreID]bool) {
 		return
 	}
 	d.victims[bestW] = append(d.victims[bestW], bestR)
-}
-
-// reachable returns the members reachable from the flow roots in the
-// steal graph.
-func (d *DVS) reachable(a *topo.Allotment, roots []topo.CoreID) map[topo.CoreID]bool {
-	thieves := make(map[topo.CoreID][]topo.CoreID, a.Size())
-	for _, w := range a.Members() {
-		for _, v := range d.victims[w] {
-			thieves[v] = append(thieves[v], w)
-		}
-	}
-	reached := make(map[topo.CoreID]bool, a.Size())
-	queue := make([]topo.CoreID, 0, a.Size())
-	for _, r := range roots {
-		if !reached[r] {
-			reached[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, t := range thieves[v] {
-			if !reached[t] {
-				reached[t] = true
-				queue = append(queue, t)
-			}
-		}
-	}
-	return reached
 }
 
 // Name implements Policy.
@@ -255,7 +225,8 @@ func appendTier(out, tier []topo.CoreID) []topo.CoreID {
 // allottedNeighbors returns the distance-1 allotted neighbours of w.
 func allottedNeighbors(a *topo.Allotment, w topo.CoreID) []topo.CoreID {
 	var out []topo.CoreID
-	for _, n := range a.Mesh().Neighbors(w) {
+	nb, k := a.Mesh().Neighbors(w)
+	for _, n := range nb[:k] {
 		if a.Contains(n) {
 			out = append(out, n)
 		}

@@ -18,30 +18,10 @@ func FlowConnected(p Policy, a *topo.Allotment) bool {
 // Unreachable returns the allotment members that cannot receive work from
 // the source under the policy's steal graph (empty when flow is intact).
 func Unreachable(p Policy, a *topo.Allotment) []topo.CoreID {
-	// Build thief adjacency: edges from each victim to the workers that
-	// list it.
-	thieves := make(map[topo.CoreID][]topo.CoreID, a.Size())
-	for _, w := range a.Members() {
-		for _, v := range p.Victims(w) {
-			thieves[v] = append(thieves[v], w)
-		}
-	}
-	reached := make(map[topo.CoreID]bool, a.Size())
-	queue := []topo.CoreID{a.Source()}
-	reached[a.Source()] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, t := range thieves[v] {
-			if !reached[t] {
-				reached[t] = true
-				queue = append(queue, t)
-			}
-		}
-	}
+	reached := stealDistances(a, p.Victims, []topo.CoreID{a.Source()})
 	var missing []topo.CoreID
 	for _, w := range a.Members() {
-		if !reached[w] {
+		if _, ok := reached[w]; !ok {
 			missing = append(missing, w)
 		}
 	}
@@ -53,27 +33,41 @@ func Unreachable(p Policy, a *topo.Allotment) []topo.CoreID {
 // generations a task needs to reach the farthest worker. For DVS on a
 // complete 2D allotment this is Θ(d); for random victim selection it is 1.
 func MaxFlowDistance(p Policy, a *topo.Allotment) int {
+	far := 0
+	for _, h := range stealDistances(a, p.Victims, []topo.CoreID{a.Source()}) {
+		far = max(far, h)
+	}
+	return far
+}
+
+// stealDistances walks the steal graph of a's members — an edge
+// victim→thief for every victim in a member's list — breadth first from
+// roots, and returns the distance in steal hops of every core it reaches,
+// 0 for the roots. A core absent from the map is unreachable.
+func stealDistances(a *topo.Allotment, victims func(topo.CoreID) []topo.CoreID, roots []topo.CoreID) map[topo.CoreID]int {
 	thieves := make(map[topo.CoreID][]topo.CoreID, a.Size())
 	for _, w := range a.Members() {
-		for _, v := range p.Victims(w) {
+		for _, v := range victims(w) {
 			thieves[v] = append(thieves[v], w)
 		}
 	}
-	dist := map[topo.CoreID]int{a.Source(): 0}
-	queue := []topo.CoreID{a.Source()}
-	max := 0
+	dist := make(map[topo.CoreID]int, a.Size())
+	queue := make([]topo.CoreID, 0, a.Size())
+	for _, r := range roots {
+		if _, ok := dist[r]; !ok {
+			dist[r] = 0
+			queue = append(queue, r)
+		}
+	}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		for _, t := range thieves[v] {
 			if _, ok := dist[t]; !ok {
 				dist[t] = dist[v] + 1
-				if dist[t] > max {
-					max = dist[t]
-				}
 				queue = append(queue, t)
 			}
 		}
 	}
-	return max
+	return dist
 }

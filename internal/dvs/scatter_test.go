@@ -1,6 +1,7 @@
 package dvs
 
 import (
+	"maps"
 	"testing"
 
 	"palirria/internal/topo"
@@ -40,11 +41,12 @@ func TestScatteredAllotmentStaysFlowConnected(t *testing.T) {
 }
 
 // TestReachableSeedsFromAllRoots covers the degenerate-case machinery
-// white-box: reachable must seed its BFS from every supplied flow root,
-// which is what lets ensureFlowConnected promote the lowest-id member to
-// a root when the source's flow reaches no member at all. Two disjoint
-// steal-graph components are visible from their own root only, and the
-// union of roots sees both.
+// white-box: stealDistances must seed its BFS from every supplied flow
+// root, which is what lets ensureFlowConnected promote the lowest-id
+// member to a root when the source's flow reaches no member at all. Two
+// disjoint steal-graph components are visible from their own root only,
+// and the union of roots sees both, each core at its hop count from the
+// nearest root.
 func TestReachableSeedsFromAllRoots(t *testing.T) {
 	m := topo.MustMesh(8, 8)
 	a, err := topo.NewAllotmentFromCores(m, 0, []topo.CoreID{1, 62, 63})
@@ -56,18 +58,16 @@ func TestReachableSeedsFromAllRoots(t *testing.T) {
 		1:  {0},
 		63: {62},
 	}}
-	from0 := d.reachable(a, []topo.CoreID{0})
-	if !from0[0] || !from0[1] || from0[62] || from0[63] {
-		t.Fatalf("roots {0}: reached %v, want exactly {0, 1}", from0)
-	}
-	from62 := d.reachable(a, []topo.CoreID{62})
-	if !from62[62] || !from62[63] || from62[0] {
-		t.Fatalf("roots {62}: reached %v, want exactly {62, 63}", from62)
-	}
-	both := d.reachable(a, []topo.CoreID{0, 62})
-	for _, w := range []topo.CoreID{0, 1, 62, 63} {
-		if !both[w] {
-			t.Fatalf("roots {0, 62}: worker %d not reached (%v)", w, both)
+	for _, tc := range []struct {
+		roots []topo.CoreID
+		want  map[topo.CoreID]int
+	}{
+		{[]topo.CoreID{0}, map[topo.CoreID]int{0: 0, 1: 1}},
+		{[]topo.CoreID{62}, map[topo.CoreID]int{62: 0, 63: 1}},
+		{[]topo.CoreID{0, 62}, map[topo.CoreID]int{0: 0, 1: 1, 62: 0, 63: 1}},
+	} {
+		if got := stealDistances(a, d.Victims, tc.roots); !maps.Equal(got, tc.want) {
+			t.Fatalf("roots %v: reached %v, want %v", tc.roots, got, tc.want)
 		}
 	}
 }
@@ -86,20 +86,21 @@ func TestBridgeOnePicksNearestPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &DVS{victims: map[topo.CoreID][]topo.CoreID{2: {0}}}
-	reached := map[topo.CoreID]bool{0: true, 2: true}
+	reached := map[topo.CoreID]int{0: 0, 2: 1}
 	d.bridgeOne(a, reached)
 	if got := d.victims[59]; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("bridge edge = %v on worker 59 (victims: %v), want [2]", got, d.victims)
 	}
 	// Second round: with 59 connected, 62 bridges to it (3 hops, vs 11
 	// to 2) — the nearest-pair rule chains clusters inward.
-	reached[59] = true
+	reached[59] = 2
 	d.bridgeOne(a, reached)
 	if got := d.victims[62]; len(got) != 1 || got[0] != 59 {
 		t.Fatalf("bridge edge = %v on worker 62 (victims: %v), want [59]", got, d.victims)
 	}
 	// With both bridges in place the whole allotment drains connected.
-	if r := d.reachable(a, []topo.CoreID{0}); !r[62] || !r[59] {
-		t.Fatalf("cluster still unreached after bridging: %v", r)
+	want := map[topo.CoreID]int{0: 0, 2: 1, 59: 2, 62: 3}
+	if r := stealDistances(a, d.Victims, []topo.CoreID{0}); !maps.Equal(r, want) {
+		t.Fatalf("after bridging reached %v, want %v", r, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"palirria/internal/topo"
 )
 
 func TestExecuteModes(t *testing.T) {
@@ -227,6 +229,26 @@ func TestPlatformsDiffer(t *testing.T) {
 	}
 	if len(simP.FixedSizes) != 4 || len(linux.FixedSizes) != 6 {
 		t.Fatal("fixed sizes wrong")
+	}
+}
+
+// TestFixedSizesAreZoneSizes pins the invariant Platform.Config's lookup
+// relies on: each platform's FixedSizes[i] is the size of its complete
+// allotment of diaspora i+1.
+func TestFixedSizesAreZoneSizes(t *testing.T) {
+	for _, p := range []Platform{SimPlatform(), LinuxPlatform()} {
+		zones, err := topo.Zones(p.Mesh(), p.Source, len(p.FixedSizes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(zones) != len(p.FixedSizes) {
+			t.Fatalf("%s: %d zones for %d fixed sizes", p.Name, len(zones), len(p.FixedSizes))
+		}
+		for i, n := range p.FixedSizes {
+			if got := zones[i].Size(); got != n {
+				t.Errorf("%s: FixedSizes[%d] = %d, zone %d holds %d", p.Name, i, n, i+1, got)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,15 +178,10 @@ func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, e
 		if workers == 0 {
 			workers = largest
 		}
-		zones, err := topo.Zones(mesh, p.Source, len(p.FixedSizes))
-		if err != nil {
-			return sim.Config{}, err
-		}
-		d := 1
-		for d <= len(zones) && zones[d-1].Size() != workers {
-			d++
-		}
-		if d > len(zones) {
+		// FixedSizes[i] is the size of the complete allotment of diaspora
+		// i+1 (TestFixedSizesAreZoneSizes).
+		i := slices.Index(p.FixedSizes, workers)
+		if i < 0 {
 			sizes := make([]string, len(p.FixedSizes))
 			for i, n := range p.FixedSizes {
 				sizes[i] = strconv.Itoa(n)
@@ -193,7 +189,7 @@ func (p Platform) Config(root *task.Spec, mode Mode, workers int) (sim.Config, e
 			return sim.Config{}, fmt.Errorf("experiments: %d workers is not a complete allotment on %s (sizes %s, cap of %d workers)",
 				workers, p.Name, strings.Join(sizes, "/"), largest)
 		}
-		cfg.InitialDiaspora = d
+		cfg.InitialDiaspora = i + 1
 	}
 	return cfg, nil
 }

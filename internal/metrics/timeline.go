@@ -82,12 +82,14 @@ func (tl *Timeline) Area(end int64) int64 {
 	return area
 }
 
-// Decision is one estimator invocation at a quantum boundary.
+// Decision is one quantum's answer, the record every consumer of the
+// estimator reads: the estimate, what the false-positive filter let
+// through, and the system layer's grant.
 type Decision struct {
-	// Time of the quantum boundary, in cycles.
+	// Time of the quantum boundary, in the platform's ticks.
 	Time int64
-	// Estimator name ("palirria", "asteal").
-	Estimator string
+	// Raw is the estimator's unfiltered desired worker count.
+	Raw int
 	// Desired is the (filtered) worker count the application requested.
 	Desired int
 	// Granted is the allotment size the system layer provided.

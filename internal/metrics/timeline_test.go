@@ -99,10 +99,10 @@ func TestLogDecisionsAndChanges(t *testing.T) {
 	if l.Changes() != 0 {
 		t.Fatal("empty log has changes")
 	}
-	l.Add(Decision{Time: 1, Estimator: "palirria", Desired: 12, Granted: 12})
-	l.Add(Decision{Time: 2, Estimator: "palirria", Desired: 12, Granted: 12})
-	l.Add(Decision{Time: 3, Estimator: "palirria", Desired: 20, Granted: 20})
-	l.Add(Decision{Time: 4, Estimator: "palirria", Desired: 5, Granted: 5})
+	l.Add(Decision{Time: 1, Desired: 12, Granted: 12})
+	l.Add(Decision{Time: 2, Desired: 12, Granted: 12})
+	l.Add(Decision{Time: 3, Desired: 20, Granted: 20})
+	l.Add(Decision{Time: 4, Desired: 5, Granted: 5})
 	if got := len(l.Decisions()); got != 4 {
 		t.Fatalf("decisions = %d", got)
 	}

@@ -61,9 +61,7 @@ func TestWriteChromeBasic(t *testing.T) {
 	r.Emit(Event{TS: 100, Kind: KindSpawn, Worker: 3, Peer: NoWorker, Arg: 2, Label: "fib(7)"})
 	r.Emit(Event{TS: 150, Kind: KindSteal, Worker: 4, Peer: 3, Label: "fib(6)"})
 	r.Emit(Event{TS: 151, Kind: KindProbeFail, Worker: 5, Peer: 3})
-	r.Emit(Event{TS: 200, Kind: KindGrant, Worker: NoWorker, Peer: NoWorker, Arg: 9})
-	r.Emit(Event{TS: 200, Kind: KindQuantum, Worker: NoWorker, Peer: NoWorker, Arg: 9})
-	tr.RecordSnapshot(EstimatorSnapshot{
+	tr.Quantum(r, 200, NoWorker, "", core.Explanation{
 		Time: 200, Estimator: "palirria", Allotment: 5, Decision: "increase",
 		RawDesire: 9, FilteredDesire: 9, Granted: 9,
 		Workers: []core.IntrospectedWorker{{ID: 3, Class: "X", QueueLen: 2, MaxQueueLen: 4, ThresholdL: 1}},
@@ -158,14 +156,15 @@ func FuzzWriteChrome(f *testing.F) {
 				r = tr.NewRing(false)
 				rings[worker] = r
 			}
-			r.Emit(Event{TS: ts, Kind: kind, Worker: worker, Peer: peer, Arg: arg})
-			if kind == KindQuantum {
-				tr.RecordSnapshot(EstimatorSnapshot{
-					Time: ts, Estimator: "palirria", Allotment: int(arg % 64),
-					RawDesire: int(arg % 64), FilteredDesire: int(arg % 32),
-					Workers: []core.IntrospectedWorker{{ID: topo.CoreID(worker), QueueLen: int(arg % 8)}},
-				})
+			if kind != KindQuantum {
+				r.Emit(Event{TS: ts, Kind: kind, Worker: worker, Peer: peer, Arg: arg})
+				continue
 			}
+			tr.Quantum(r, ts, worker, "", core.Explanation{
+				Time: ts, Estimator: "palirria", Allotment: int(arg % 64),
+				RawDesire: int(arg % 64), FilteredDesire: int(arg % 32), Granted: int(arg % 16),
+				Workers: []core.IntrospectedWorker{{ID: topo.CoreID(worker), QueueLen: int(arg % 8)}},
+			})
 		}
 		var buf bytes.Buffer
 		if err := tr.Drain().WriteChrome(&buf); err != nil {

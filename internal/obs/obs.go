@@ -12,11 +12,12 @@
 //     single pointer comparison so disabled tracing costs nothing
 //     measurable on the hot paths.
 //  2. Estimator introspection. At every quantum boundary the platforms
-//     record an EstimatorSnapshot: the per-worker DMC view (boundary/
-//     inner classification, queue region counts, thresholds) or ASTEAL's
-//     utilization inputs, together with the raw and filtered desire and
-//     the actual grant. Estimation decisions become explainable after the
-//     fact instead of being opaque integers.
+//     hand Tracer.Quantum the controller's core.Explanation: the
+//     per-worker DMC view (boundary/inner classification, queue region
+//     counts, thresholds) or ASTEAL's utilization inputs, together with
+//     the raw and filtered desire and the actual grant. Estimation
+//     decisions become explainable after the fact instead of being
+//     opaque integers.
 //  3. Live metrics. A dependency-free Registry renders Prometheus text
 //     format, and Serve exposes it on /metrics, beside Go's runtime
 //     expvars and net/http/pprof, on an opt-in address.
@@ -33,6 +34,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"palirria/internal/core"
 )
 
 // Kind classifies a scheduler event.
@@ -130,9 +133,9 @@ func (ev Event) String() string {
 }
 
 // Tracer collects events from many rings plus the per-quantum estimator
-// snapshots. Rings are registered once (at worker creation, before
-// emission starts); registration and snapshot recording take a mutex,
-// event emission never does.
+// explanations. Rings are registered once (at worker creation, before
+// emission starts); registration and recording an explanation take a
+// mutex, event emission never does.
 type Tracer struct {
 	// ringCap is every ring's event capacity (1<<16, rounded up to a
 	// power of two by newRing); the package's tests shrink it.
@@ -141,7 +144,7 @@ type Tracer struct {
 
 	mu      sync.Mutex
 	rings   []*Ring
-	snaps   []EstimatorSnapshot
+	snaps   []core.Explanation
 	workers map[int32]string
 }
 
@@ -187,11 +190,23 @@ func (t *Tracer) SetWorkerName(worker int32, name string) {
 	t.mu.Unlock()
 }
 
-// RecordSnapshot appends one estimator introspection snapshot. Called
-// once per quantum — far off the hot path — so a mutex is fine.
-func (t *Tracer) RecordSnapshot(s EstimatorSnapshot) {
+// Quantum records one estimation quantum's observation: on r, a
+// KindQuantum event carrying the filtered desire and a KindGrant event
+// carrying the grant, both at ts for worker and labelled label; on the
+// tracer, ex with its Job set to label. Both platforms call it once per
+// quantum, and only when tracing, so an unobserved run builds no
+// explanation. Called far off the hot path, so the mutex is fine.
+func (t *Tracer) Quantum(r *Ring, ts int64, worker int32, label string, ex core.Explanation) {
+	ev := Event{TS: ts, Kind: KindQuantum, Worker: worker, Peer: NoWorker, Arg: int64(ex.FilteredDesire), Label: label}
+	r.Emit(ev)
+	// Every quantum, even unchanged: rings keep only the newest events,
+	// and the Chrome allotment counter track must have samples inside
+	// whatever window survives.
+	ev.Kind, ev.Arg = KindGrant, int64(ex.Granted)
+	r.Emit(ev)
+	ex.Job = label
 	t.mu.Lock()
-	t.snaps = append(t.snaps, s)
+	t.snaps = append(t.snaps, ex)
 	t.mu.Unlock()
 }
 
@@ -202,7 +217,7 @@ func (t *Tracer) RecordSnapshot(s EstimatorSnapshot) {
 func (t *Tracer) Drain() *TraceData {
 	t.mu.Lock()
 	rings := append([]*Ring(nil), t.rings...)
-	snaps := append([]EstimatorSnapshot(nil), t.snaps...)
+	snaps := append([]core.Explanation(nil), t.snaps...)
 	names := make(map[int32]string, len(t.workers))
 	for k, v := range t.workers {
 		names[k] = v
@@ -231,8 +246,8 @@ func (t *Tracer) Drain() *TraceData {
 type TraceData struct {
 	// Events in non-decreasing TS order.
 	Events []Event
-	// Snapshots are the per-quantum estimator introspection records.
-	Snapshots []EstimatorSnapshot
+	// Snapshots are the per-quantum estimator explanations.
+	Snapshots []core.Explanation
 	// WorkerNames maps worker ids to display names.
 	WorkerNames map[int32]string
 	// Dropped counts events lost to full rings.

@@ -3,6 +3,8 @@ package obs
 import (
 	"sync"
 	"testing"
+
+	"palirria/internal/core"
 )
 
 func TestRingBasic(t *testing.T) {
@@ -184,12 +186,24 @@ func TestTracerDrainMerges(t *testing.T) {
 	}
 }
 
+// TestTracerSnapshots pins a quantum's observation: a quantum and a grant
+// event on the ring carrying the filtered desire and the grant, and the
+// explanation labelled with the job.
 func TestTracerSnapshots(t *testing.T) {
 	tr := NewTracer()
-	tr.RecordSnapshot(EstimatorSnapshot{Time: 1, Estimator: "palirria"})
-	tr.RecordSnapshot(EstimatorSnapshot{Time: 2, Estimator: "palirria"})
-	if got := tr.Drain().Snapshots; len(got) != 2 || got[1].Time != 2 {
+	r := tr.NewRing(false)
+	tr.Quantum(r, 10, 3, "fib", core.Explanation{Time: 1, Estimator: "palirria", RawDesire: 9, FilteredDesire: 7, Granted: 5})
+	tr.Quantum(r, 20, 3, "fib", core.Explanation{Time: 2, Estimator: "palirria"})
+	d := tr.Drain()
+	if got := d.Snapshots; len(got) != 2 || got[1].Time != 2 || got[0].Job != "fib" || got[0].RawDesire != 9 {
 		t.Fatalf("Drain snapshots = %+v", got)
+	}
+	want := []Event{
+		{TS: 10, Kind: KindQuantum, Worker: 3, Peer: NoWorker, Arg: 7, Label: "fib"},
+		{TS: 10, Kind: KindGrant, Worker: 3, Peer: NoWorker, Arg: 5, Label: "fib"},
+	}
+	if len(d.Events) != 4 || d.Events[0] != want[0] || d.Events[1] != want[1] {
+		t.Fatalf("Drain events = %+v, want %+v first", d.Events, want)
 	}
 }
 

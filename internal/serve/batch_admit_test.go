@@ -24,9 +24,6 @@ func runPrefix(n int, err error) func([]wsrt.Job) (int, error) {
 			if batch[k].OnDone != nil {
 				batch[k].OnDone()
 			}
-			if batch[k].OnTerminal != nil {
-				batch[k].OnTerminal(true)
-			}
 		}
 		return n, err
 	}

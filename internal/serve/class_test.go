@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
 	"palirria/internal/wsrt"
 )
@@ -15,7 +16,7 @@ import (
 // pinQuantum drives one saturated-desire quantum tap.
 func pinQuantum(p *Pool) {
 	cap := p.Capacity()
-	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
+	p.noteQuantum(metrics.Decision{Desired: cap, Granted: cap})
 }
 
 // saturate fills the pool with blocked jobs until every queue slot is
@@ -100,7 +101,7 @@ func TestPoolShedLadderEscalation(t *testing.T) {
 
 	// Desire dropping below capacity resets the whole ladder.
 	cp := p.Capacity()
-	p.noteQuantum(wsrt.QuantumInfo{Filtered: cp - 1, Granted: cp, Capacity: cp})
+	p.noteQuantum(metrics.Decision{Desired: cp - 1, Granted: cp})
 	if p.shedLevel.Load() != 0 {
 		t.Fatal("ladder did not reset when desire dropped below capacity")
 	}

@@ -157,18 +157,15 @@ func (p *Pool) SubmitDAG(ctx context.Context, nodes []DAGNode) ([]error, error) 
 }
 
 // launch hands node i to the runtime. The released CAS makes it a no-op
-// when a cancel already finalized the node; the terminal hook routes the
-// runtime's exactly-once disposition back into the ledger.
+// when a cancel already finalized the node; the completion callback runs
+// the node's own onDone and then routes its fate back into the ledger,
+// exactly once, whether the node ran or the shutdown flush discarded it.
 func (d *dag) launch(i int) {
 	dn := d.nodes[i]
 	if !dn.released.CompareAndSwap(false, true) {
 		return
 	}
-	err := d.p.rt.SubmitJob(wsrt.Job{
-		Fn:         dn.wrapped,
-		OnDone:     dn.onDone,
-		OnTerminal: func(ran bool) { d.terminal(i, ran) },
-	})
+	err := d.p.rt.Submit(dn.wrapped, func() { dn.onDone(); d.terminal(i) })
 	if err != nil {
 		// The runtime refused the node (a drain's shutdown won the race,
 		// or the backlog bound broke). Finalize it here — the runtime
@@ -180,15 +177,15 @@ func (d *dag) launch(i int) {
 	}
 }
 
-// terminal is node i's release-on-terminal hook, fired exactly once by
-// the runtime after the node's own onDone ran. A node that ran to
-// completion releases its successors (atomic indegree decrement; the
-// decrement that reaches zero launches); any other disposition — skipped
-// because its context cancelled it while queued, or discarded unrun by
-// the shutdown flush — cancels all not-yet-released descendants.
-func (d *dag) terminal(i int, ran bool) {
+// terminal is node i's release-on-terminal step, run exactly once after
+// the node's own onDone. A node that ran to completion (its job state is
+// jobDone) releases its successors (atomic indegree decrement; the
+// decrement that reaches zero launches); any other fate — skipped because
+// its context cancelled it while queued, or discarded unrun by the
+// shutdown flush — cancels all not-yet-released descendants.
+func (d *dag) terminal(i int) {
 	dn := d.nodes[i]
-	if ran && dn.j.state.Load() == jobDone {
+	if dn.j.state.Load() == jobDone {
 		for _, s := range dn.succs {
 			if d.nodes[s].indeg.Add(-1) == 0 {
 				d.launch(s)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"palirria/internal/core"
+	"palirria/internal/metrics"
 	"palirria/internal/obs"
 	"palirria/internal/obs/stream"
 	"palirria/internal/wsrt"
@@ -160,10 +161,10 @@ func New(cfg Config) (*Pool, error) {
 		idleCh:    make(chan struct{}, 1),
 	}
 	chained := cfg.Runtime.OnQuantum
-	cfg.Runtime.OnQuantum = func(q wsrt.QuantumInfo) {
-		p.noteQuantum(q)
+	cfg.Runtime.OnQuantum = func(d metrics.Decision) {
+		p.noteQuantum(d)
 		if chained != nil {
-			chained(q)
+			chained(d)
 		}
 	}
 	rt, err := wsrt.New(cfg.Runtime)
@@ -196,18 +197,20 @@ func (p *Pool) publishEv(ev stream.Event) {
 }
 
 // noteQuantum is the pool's estimator tap, invoked once per quantum on
-// the runtime's helper goroutine: it publishes the quantum digest, steps
-// the shed ladder and stores the level for the admission paths to read.
-func (p *Pool) noteQuantum(q wsrt.QuantumInfo) {
-	p.lastDesire.Store(int64(q.Filtered))
+// the runtime's helper goroutine: it publishes the quantum's decision
+// with the largest grant currently possible, steps the shed ladder and
+// stores the level for the admission paths to read.
+func (p *Pool) noteQuantum(d metrics.Decision) {
+	capacity := p.rt.Capacity()
+	p.lastDesire.Store(int64(d.Desired))
 	p.publishEv(stream.Event{
 		Kind:     stream.KindQuantum,
-		Raw:      q.Raw,
-		Desire:   q.Filtered,
-		Granted:  q.Granted,
-		Capacity: q.Capacity,
+		Raw:      d.Raw,
+		Desire:   d.Desired,
+		Granted:  d.Granted,
+		Capacity: capacity,
 	})
-	lvl := p.ladder.step(q.Filtered, q.Capacity, int(p.inflight.Load()))
+	lvl := p.ladder.step(d.Desired, capacity, int(p.inflight.Load()))
 	p.shedLevel.Store(lvl)
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"palirria/internal/metrics"
 	"palirria/internal/obs"
 	"palirria/internal/topo"
 	"palirria/internal/wsrt"
@@ -164,7 +165,7 @@ func TestPoolShedLatch(t *testing.T) {
 
 	// Desire pinned at capacity but the queue is empty: no shed.
 	for i := 0; i < 10; i++ {
-		p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
+		p.noteQuantum(metrics.Decision{Desired: cap, Granted: cap})
 	}
 	if p.shedLevel.Load() > 0 {
 		t.Fatal("shed armed without queue saturation")
@@ -185,12 +186,12 @@ func TestPoolShedLatch(t *testing.T) {
 	started.Wait()
 	p.ladder.pinned = 0
 	for i := 0; i < 2; i++ {
-		p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
+		p.noteQuantum(metrics.Decision{Desired: cap, Granted: cap})
 	}
 	if p.shedLevel.Load() > 0 {
 		t.Fatal("shed armed before ShedQuanta consecutive quanta")
 	}
-	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
+	p.noteQuantum(metrics.Decision{Desired: cap, Granted: cap})
 	if p.shedLevel.Load() == 0 {
 		t.Fatal("shed latch did not arm")
 	}
@@ -202,12 +203,12 @@ func TestPoolShedLatch(t *testing.T) {
 	}
 	// The latch holds while desire stays pinned, even as the queue
 	// drains...
-	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap, Granted: cap, Capacity: cap})
+	p.noteQuantum(metrics.Decision{Desired: cap, Granted: cap})
 	if p.shedLevel.Load() == 0 {
 		t.Fatal("latch released while desire still pinned")
 	}
 	// ...and releases as soon as desire drops below capacity.
-	p.noteQuantum(wsrt.QuantumInfo{Filtered: cap - 1, Granted: cap, Capacity: cap})
+	p.noteQuantum(metrics.Decision{Desired: cap - 1, Granted: cap})
 	if p.shedLevel.Load() > 0 {
 		t.Fatal("latch did not release when desire dropped")
 	}

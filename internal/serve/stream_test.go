@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"palirria/internal/metrics"
 	"palirria/internal/obs"
 	"palirria/internal/obs/stream"
 	"palirria/internal/topo"
@@ -78,7 +79,7 @@ func TestPoolStreamsShedAndQuantum(t *testing.T) {
 	}
 	// Arm the shed latch via deterministic quantum taps.
 	for i := 0; i < 2; i++ {
-		p.noteQuantum(wsrt.QuantumInfo{Raw: 9, Filtered: 8, Granted: 4, Capacity: 8})
+		p.noteQuantum(metrics.Decision{Raw: 9, Desired: 8, Granted: 4})
 	}
 	if err := p.Submit(context.Background(), func(c *wsrt.Ctx) {}); err != ErrOverloaded {
 		t.Fatalf("shed submit: %v", err)
@@ -105,6 +106,35 @@ func TestPoolStreamsShedAndQuantum(t *testing.T) {
 	if full != 1 || shed != 1 || quanta != 2 {
 		t.Fatalf("full=%d shed=%d quanta=%d, want 1/1/2", full, shed, quanta)
 	}
+}
+
+// TestStreamQuantumCapacityIsPoolCapacity holds a live pool's quantum
+// events to the capacity Pool.Capacity reports, under a worker cap below
+// the mesh.
+func TestStreamQuantumCapacityIsPoolCapacity(t *testing.T) {
+	hub := stream.NewHub()
+	p := quietPool(t, Config{Name: "web", Events: hub,
+		Runtime: wsrt.Config{Quantum: time.Millisecond}})
+	p.rt.SetMaxWorkers(3)
+	want := p.Capacity()
+	if want >= 8 {
+		t.Fatalf("capped capacity = %d, want below the 4x2 mesh", want)
+	}
+	// A quantum in flight across the cap change may publish the old
+	// capacity once; every event after it must read the capped one.
+	sub := hub.Subscribe(stream.SubOptions{Buf: 256, Kinds: []stream.Kind{stream.KindQuantum}})
+	<-sub.Events()
+	n := 0
+	for ev := range sub.Events() {
+		if ev.Capacity != want {
+			t.Fatalf("quantum event capacity = %d, want Pool.Capacity() = %d", ev.Capacity, want)
+		}
+		if n++; n == 5 {
+			break
+		}
+	}
+	drain(t, p)
+	sub.Close()
 }
 
 // TestPoolEventsCarryWallTime requires every event a live pool puts on its

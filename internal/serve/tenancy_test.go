@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
 	"palirria/internal/wsrt"
 )
@@ -130,8 +131,8 @@ func TestTenancyBidsLastDesire(t *testing.T) {
 		t.Fatal(err)
 	}
 	const high, low = 12, 3
-	p.noteQuantum(wsrt.QuantumInfo{Raw: high, Filtered: high, Granted: high, Capacity: 16})
-	p.noteQuantum(wsrt.QuantumInfo{Raw: low, Filtered: low, Granted: low, Capacity: 16})
+	p.noteQuantum(metrics.Decision{Raw: high, Desired: high, Granted: high})
+	p.noteQuantum(metrics.Decision{Raw: low, Desired: low, Granted: low})
 	ten.Rearbitrate()
 	if share := ten.Snapshot()[0].Share; share < low || share >= high {
 		t.Fatalf("share after desires %d then %d = %d, want the last desire covered and below %d",

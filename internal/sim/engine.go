@@ -56,7 +56,7 @@ type Config struct {
 
 	// Observe records the run: Result.Obs holds the newest 1<<16 scheduler
 	// events, ready for Chrome trace export, and with an Estimator one
-	// obs.EstimatorSnapshot per quantum (DMC worker classification, raw vs.
+	// core.Explanation per quantum (DMC worker classification, raw vs.
 	// filtered desire, grants).
 	Observe bool
 }
@@ -325,7 +325,7 @@ type engine struct {
 	busy int
 
 	// tracer and ring record scheduler events and per-quantum estimator
-	// snapshots when observed. The simulator is single-threaded, so one
+	// explanations when observed. The simulator is single-threaded, so one
 	// keep-newest ring serves every worker.
 	tracer *obs.Tracer
 	ring   *obs.Ring
@@ -689,15 +689,8 @@ func (e *engine) quantumTick() {
 		}
 		if j.ctrl != nil {
 			j.ctrl.Record(e.now, next.Size())
-			e.trace(obs.KindQuantum, j.source, topo.NoCore, desired, j.name)
-			// Every quantum, even unchanged: the ring keeps only the newest
-			// events, so the Chrome allotment counter needs samples inside
-			// whatever window survives a long run.
-			e.trace(obs.KindGrant, j.source, topo.NoCore, next.Size(), j.name)
 			if e.tracer != nil {
-				es := obs.Explain(j.ctrl, snap, next.Size())
-				es.Job = j.name
-				e.tracer.RecordSnapshot(es)
+				e.tracer.Quantum(e.ring, e.now, int32(j.source), j.name, j.ctrl.Explain(snap))
 			}
 		}
 		if !changed {

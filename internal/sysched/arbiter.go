@@ -53,7 +53,8 @@ func (ab *Arbiter) Register(name string, source topo.CoreID) (*App, error) {
 	ab.owner[source] = app
 	ab.apps = append(ab.apps, app)
 	var zone1 []topo.CoreID
-	for _, id := range ab.mesh.Neighbors(source) {
+	nb, k := ab.mesh.Neighbors(source)
+	for _, id := range nb[:k] {
 		if !ab.mesh.Reserved(id) && ab.owner[id] == nil {
 			zone1 = append(zone1, id)
 			ab.owner[id] = app

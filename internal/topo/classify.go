@@ -94,7 +94,8 @@ func classify(a *Allotment) *Classification {
 	for _, w := range a.members {
 		zw := m.HopCount(a.source, w)
 		inner, o := 0, len(outer)
-		for _, n := range m.Neighbors(w) {
+		nb, k := m.Neighbors(w)
+		for _, n := range nb[:k] {
 			if !a.isMember[n] {
 				continue
 			}
@@ -163,7 +164,8 @@ func (c *Classification) InnerNeighbors(w CoreID) []CoreID {
 	m := c.a.Mesh()
 	zw := c.a.ZoneOf(w)
 	var out []CoreID
-	for _, n := range m.Neighbors(w) {
+	nb, k := m.Neighbors(w)
+	for _, n := range nb[:k] {
 		if c.a.Contains(n) && c.a.ZoneOf(n) == zw-1 {
 			out = append(out, n)
 		}

@@ -55,7 +55,8 @@ func refShrink(a *Allotment) (next *Allotment, ok bool) {
 func refOuterVictims(a *Allotment, w CoreID) []CoreID {
 	zw := a.ZoneOf(w)
 	var out []CoreID
-	for _, n := range a.mesh.Neighbors(w) {
+	nb, k := a.mesh.Neighbors(w)
+	for _, n := range nb[:k] {
 		if a.Contains(n) && a.ZoneOf(n) == zw+1 {
 			out = append(out, n)
 		}

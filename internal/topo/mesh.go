@@ -141,20 +141,20 @@ func (m *Mesh) HopCount(a, b CoreID) int {
 }
 
 // Neighbors returns the cores at distance exactly 1 from id, in a fixed
-// deterministic order (-X, +X, -Y, +Y, -Z, +Z). Reserved cores are included;
-// callers that build allotments filter them.
-func (m *Mesh) Neighbors(id CoreID) []CoreID {
+// deterministic order (-X, +X, -Y, +Y, -Z, +Z), as the first n entries of
+// an array: a value, so a call allocates nothing. Reserved cores are
+// included; callers that build allotments filter them.
+func (m *Mesh) Neighbors(id CoreID) (nb [6]CoreID, n int) {
 	c := m.Coord(id)
-	out := make([]CoreID, 0, 6)
 	for _, d := range [6]Coord{
 		{X: -1}, {X: 1}, {Y: -1}, {Y: 1}, {Z: -1}, {Z: 1},
 	} {
-		n := Coord{X: c.X + d.X, Y: c.Y + d.Y, Z: c.Z + d.Z}
-		if nid := m.ID(n); nid != NoCore {
-			out = append(out, nid)
+		if nid := m.ID(Coord{X: c.X + d.X, Y: c.Y + d.Y, Z: c.Z + d.Z}); nid != NoCore {
+			nb[n] = nid
+			n++
 		}
 	}
-	return out
+	return nb, n
 }
 
 // WithinDistance returns all cores at hop count <= d from center, sorted by

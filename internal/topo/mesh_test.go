@@ -170,16 +170,15 @@ func TestHopCountProperties(t *testing.T) {
 func TestNeighborsNoWrap(t *testing.T) {
 	m := MustMesh(8, 4)
 	// Corner (0,0) has exactly 2 neighbours; no wrap-around.
-	nb := m.Neighbors(m.ID(Coord{X: 0, Y: 0}))
-	if len(nb) != 2 {
-		t.Fatalf("corner has %d neighbours, want 2: %v", len(nb), nb)
+	if _, k := m.Neighbors(m.ID(Coord{X: 0, Y: 0})); k != 2 {
+		t.Fatalf("corner has %d neighbours, want 2", k)
 	}
 	// Interior core has 4.
-	nb = m.Neighbors(m.ID(Coord{X: 4, Y: 2}))
-	if len(nb) != 4 {
-		t.Fatalf("interior core has %d neighbours, want 4: %v", len(nb), nb)
+	nb, k := m.Neighbors(m.ID(Coord{X: 4, Y: 2}))
+	if k != 4 {
+		t.Fatalf("interior core has %d neighbours, want 4: %v", k, nb[:k])
 	}
-	for _, n := range nb {
+	for _, n := range nb[:k] {
 		if m.HopCount(m.ID(Coord{X: 4, Y: 2}), n) != 1 {
 			t.Fatalf("neighbour %d not at distance 1", n)
 		}
@@ -189,8 +188,26 @@ func TestNeighborsNoWrap(t *testing.T) {
 func TestNeighbors3D(t *testing.T) {
 	m := MustMesh(3, 3, 3)
 	center := m.ID(Coord{X: 1, Y: 1, Z: 1})
-	if nb := m.Neighbors(center); len(nb) != 6 {
-		t.Fatalf("3D interior core has %d neighbours, want 6", len(nb))
+	if _, k := m.Neighbors(center); k != 6 {
+		t.Fatalf("3D interior core has %d neighbours, want 6", k)
+	}
+}
+
+// TestNeighborsAllocatesNothing pins the value return: classifying an
+// allotment calls Neighbors once per member.
+func TestNeighborsAllocatesNothing(t *testing.T) {
+	m := MustMesh(8, 6)
+	sink := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for id := CoreID(0); int(id) < m.NumCores(); id++ {
+			_, k := m.Neighbors(id)
+			sink += k
+		}
+	}); n != 0 {
+		t.Fatalf("Neighbors allocates %v times per mesh sweep, want 0", n)
+	}
+	if sink == 0 {
+		t.Fatal("no neighbours found")
 	}
 }
 

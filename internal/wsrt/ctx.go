@@ -23,14 +23,10 @@ type rtTask struct {
 	// onDone, when set, marks a job root: it fires after the task (and all
 	// of its joins) completes. The batch Run root uses it to signal
 	// completion; persistent-mode submissions use it to notify their
-	// waiters. Only roots carry onDone and onTerm — Spawn never sets them —
-	// so they fire only from runTask; runInline refuses a task with either.
+	// waiters. Only roots carry onDone — Spawn never sets it — so it fires
+	// only from runTask (or the shutdown flush); runInline refuses a task
+	// with one.
 	onDone func()
-	// onTerm, when set, fires exactly once after onDone with the job's
-	// terminal disposition: ran=true when the root executed to completion,
-	// ran=false when the shutdown flush discarded it unrun. DAG release in
-	// the serving layer hangs off this hook.
-	onTerm func(ran bool)
 }
 
 // Ctx is the per-task execution context: WOOL's programming interface.

@@ -47,33 +47,14 @@ func (r *Runtime) quantum() {
 	r.qseq.Add(1)
 	desired := r.ctrl.Step(snap)
 	next, changed := r.mgr.Grant(desired)
-	r.ctrl.Record(nowNS()-r.startNS, next.Size())
+	d := r.ctrl.Record(nowNS()-r.startNS, next.Size())
 	r.quanta.Add(1)
 	r.allotSize.Store(int64(next.Size()))
 	if r.cfg.OnQuantum != nil {
-		info := r.ctrl.Last()
-		r.cfg.OnQuantum(QuantumInfo{
-			Time:     nowNS() - r.startNS,
-			Raw:      info.Raw,
-			Filtered: info.Filtered,
-			Granted:  next.Size(),
-			Capacity: r.mgr.EffectiveMaxWorkers(),
-		})
+		r.cfg.OnQuantum(d)
 	}
-	if r.helperRing != nil {
-		ts := nowNS() - r.startNS
-		r.helperRing.Emit(obs.Event{
-			TS: ts, Kind: obs.KindQuantum,
-			Worker: obs.NoWorker, Peer: obs.NoWorker, Arg: int64(desired),
-		})
-		// Every quantum, even unchanged: ring buffers keep only the
-		// newest events, and the Chrome allotment counter track must have
-		// samples inside whatever window survives.
-		r.helperRing.Emit(obs.Event{
-			TS: ts, Kind: obs.KindGrant,
-			Worker: obs.NoWorker, Peer: obs.NoWorker, Arg: int64(next.Size()),
-		})
-		r.cfg.Tracer.RecordSnapshot(obs.Explain(r.ctrl, snap, next.Size()))
+	if r.cfg.Tracer != nil {
+		r.cfg.Tracer.Quantum(r.helperRing, nowNS()-r.startNS, obs.NoWorker, "", r.ctrl.Explain(snap))
 	}
 	if !changed {
 		return

@@ -14,29 +14,18 @@ import (
 // backpressure policy. It is SubmitBatch of one job and shares its
 // guarantees.
 func (r *Runtime) Submit(fn Func, onDone func()) error {
-	return r.SubmitJob(Job{Fn: fn, OnDone: onDone})
-}
-
-// SubmitJob is Submit with the full Job record: in addition to OnDone it
-// honours OnTerminal, the hook the serving layer's DAG dependency ledger
-// releases successor nodes from.
-func (r *Runtime) SubmitJob(j Job) error {
-	one := [1]Job{j}
+	one := [1]Job{{Fn: fn, OnDone: onDone}}
 	_, err := r.SubmitBatch(one[:])
 	return err
 }
 
-// Job is one SubmitBatch entry: a job root plus its completion callbacks.
+// Job is one SubmitBatch entry: a job root plus its completion callback.
 type Job struct {
 	// Fn is the job root.
 	Fn Func
 	// OnDone, if non-nil, fires exactly once after the job and all of its
 	// spawns complete (or when the shutdown flush discards the job).
 	OnDone func()
-	// OnTerminal, if non-nil, fires exactly once after OnDone with the
-	// job's disposition: ran=true when the root executed to completion,
-	// ran=false when the shutdown flush discarded it unrun.
-	OnTerminal func(ran bool)
 }
 
 // submitBatchChunk is how many jobs one SubmitBatch iteration reserves
@@ -75,7 +64,7 @@ func (r *Runtime) SubmitBatch(jobs []Job) (n int, err error) {
 		}
 		w := r.pickShard(b)
 		for i := int64(0); i < got; i++ {
-			t := &rtTask{fn: jobs[n].Fn, onDone: jobs[n].OnDone, onTerm: jobs[n].OnTerminal}
+			t := &rtTask{fn: jobs[n].Fn, onDone: jobs[n].OnDone}
 			pw := w
 			if !w.shard.Push(t) {
 				// Cannot happen by construction (every ring is at least

@@ -117,6 +117,37 @@ func TestRuntimeTracerAndMetrics(t *testing.T) {
 	}
 }
 
+// TestTracedExplanationsMatchDecisions holds the estimator trace to the
+// decision log: a traced run records one explanation per logged quantum,
+// and each carries that quantum's raw and filtered desire and grant.
+func TestTracedExplanationsMatchDecisions(t *testing.T) {
+	tracer := obs.NewTracer(obs.WithTicksPerMicro(1000))
+	rt, err := New(Config{
+		Mesh: smallMesh(t), Source: 0,
+		Estimator: core.NewPalirria(),
+		Quantum:   500 * time.Microsecond,
+		Tracer:    tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Run(fanRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := rep.Decisions.Decisions()
+	exs := tracer.Drain().Snapshots
+	if len(ds) == 0 || len(exs) != len(ds) {
+		t.Fatalf("%d explanations for %d decisions", len(exs), len(ds))
+	}
+	for i, d := range ds {
+		ex := exs[i]
+		if ex.RawDesire != d.Raw || ex.FilteredDesire != d.Desired || ex.Granted != d.Granted {
+			t.Fatalf("quantum %d: explanation %+v, decision %+v", i, ex, d)
+		}
+	}
+}
+
 // TestTracingDisabledByDefault pins the nil fast path: no Tracer, no
 // events, no metric registration side effects.
 func TestTracingDisabledByDefault(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"palirria/internal/core"
+	"palirria/internal/metrics"
 	"palirria/internal/topo"
 )
 
@@ -217,7 +218,7 @@ func TestPersistentAdaptiveGrowsAndShrinksWhileResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	var quanta atomic.Int64
-	rt.cfg.OnQuantum = func(q QuantumInfo) { quanta.Add(1) }
+	rt.cfg.OnQuantum = func(metrics.Decision) { quanta.Add(1) }
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}

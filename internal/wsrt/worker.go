@@ -408,9 +408,9 @@ func (w *worker) takeSibling() *rtTask {
 // window — the same total runTask would split into the parent's exclusion
 // and the child's self time. Search and leapfrog steals inside the child
 // still reach w.excluded and leave that window. Spawned children carry no
-// root hooks.
+// root hook.
 func (w *worker) runInline(t *rtTask) {
-	if t.onDone != nil || t.onTerm != nil {
+	if t.onDone != nil {
 		panic("wsrt: runInline given a job root")
 	}
 	ctx := w.ctxGet()
@@ -457,8 +457,8 @@ func (w *worker) runTask(t *rtTask) {
 	ctx.joinAll()
 	w.ctxPut(ctx)
 	// Once done is published the spawner may recycle t: read the root
-	// hooks first and touch t no more.
-	onDone, onTerm := t.onDone, t.onTerm
+	// hook first and touch t no more.
+	onDone := t.onDone
 	t.done.Store(true)
 	end := nowNS()
 	w.phaseTS = end
@@ -478,8 +478,5 @@ func (w *worker) runTask(t *rtTask) {
 	}
 	if onDone != nil {
 		onDone()
-	}
-	if onTerm != nil {
-		onTerm(true)
 	}
 }

@@ -59,24 +59,6 @@ var (
 	ErrSubmitQueueFull = errors.New("wsrt: submit queue full")
 )
 
-// QuantumInfo is the per-quantum digest handed to Config.OnQuantum: the
-// estimator's desire before and after the false-positive filter, what the
-// system layer actually granted, and the largest grant currently possible.
-// Serving layers use it for admission control — a filtered desire pinned
-// at Capacity is the estimator saying "this machine is saturated".
-type QuantumInfo struct {
-	// Time is nanoseconds since the runtime started.
-	Time int64
-	// Raw and Filtered are the desired worker counts before and after the
-	// false-positive filter.
-	Raw, Filtered int
-	// Granted is the allotment size after this quantum's grant.
-	Granted int
-	// Capacity is the largest allotment size currently grantable (topology
-	// maximum clamped by any dynamic worker cap).
-	Capacity int
-}
-
 // Config describes a runtime instance.
 type Config struct {
 	// Mesh is the virtual topology workers are laid out on; defaults to a
@@ -102,7 +84,7 @@ type Config struct {
 
 	// Tracer enables structured event tracing: every worker gets its own
 	// drop-newest ring (safe under concurrent draining), and with an
-	// Estimator every quantum records an obs.EstimatorSnapshot. Create it
+	// Estimator every quantum records a core.Explanation. Create it
 	// with obs.NewTracer(obs.WithTicksPerMicro(1000)) — timestamps are wall
 	// nanoseconds relative to Run's start. Nil disables tracing; the
 	// disabled hot path is one nil comparison per event site.
@@ -119,9 +101,10 @@ type Config struct {
 	MetricLabels []obs.Label
 
 	// OnQuantum, when set, is invoked by the estimation helper after every
-	// quantum's grant with that quantum's digest. It runs on the helper
-	// goroutine and must be fast and non-blocking.
-	OnQuantum func(QuantumInfo)
+	// quantum's grant with that quantum's decision: the estimator's desire
+	// before and after the false-positive filter and the grant. It runs
+	// on the helper goroutine and must be fast and non-blocking.
+	OnQuantum func(metrics.Decision)
 	// SubmitQueueCap bounds the persistent-mode submission backlog (default
 	// 64): the aggregate number of submitted-but-unstarted job roots across
 	// all per-worker injection shards. Irrelevant for batch Run.
@@ -446,9 +429,6 @@ func (r *Runtime) Shutdown() (*Report, error) {
 				popped = true
 				if t.onDone != nil {
 					t.onDone()
-				}
-				if t.onTerm != nil {
-					t.onTerm(false)
 				}
 			}
 		}

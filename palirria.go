@@ -411,16 +411,16 @@ func RunSim(cfg SimConfig) (*Report, error) {
 
 // reportJSON is the serializable projection of a Report.
 type reportJSON struct {
-	ExecCycles          int64                   `json:"exec_cycles"`
-	MaxWorkers          int                     `json:"max_workers"`
-	AvgWorkers          float64                 `json:"avg_workers"`
-	WastefulnessPercent float64                 `json:"wastefulness_percent"`
-	Steals              int64                   `json:"steals"`
-	FailedProbes        int64                   `json:"failed_probes"`
-	Tasks               int64                   `json:"tasks"`
-	Timeline            []timelinePointJSON     `json:"timeline"`
-	Workers             map[int]workerJSON      `json:"workers"`
-	EstimatorSnapshots  []obs.EstimatorSnapshot `json:"estimator_trace,omitempty"`
+	ExecCycles          int64               `json:"exec_cycles"`
+	MaxWorkers          int                 `json:"max_workers"`
+	AvgWorkers          float64             `json:"avg_workers"`
+	WastefulnessPercent float64             `json:"wastefulness_percent"`
+	Steals              int64               `json:"steals"`
+	FailedProbes        int64               `json:"failed_probes"`
+	Tasks               int64               `json:"tasks"`
+	Timeline            []timelinePointJSON `json:"timeline"`
+	Workers             map[int]workerJSON  `json:"workers"`
+	EstimatorTrace      []core.Explanation  `json:"estimator_trace,omitempty"`
 }
 
 type timelinePointJSON struct {
@@ -475,7 +475,7 @@ func (r *Report) JSON() ([]byte, error) {
 		}
 	}
 	if r.Obs != nil {
-		out.EstimatorSnapshots = r.Obs.Snapshots
+		out.EstimatorTrace = r.Obs.Snapshots
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
