@@ -64,7 +64,15 @@ func (c *Ctx) push(t *rtTask) {
 		c.w.emit(obs.KindSpawn, obs.NoWorker, int64(n))
 		// The push made work visible; wake one announced idle thief (the
 		// no-waiters fast path is a single atomic load — see idle.go).
-		c.w.wakeOneThief()
+		// Go queues the readied thief on this P, where it would wait until
+		// this task blocks: yield once so it starts now. The yield is off
+		// the CPU for this task, so it is stamped as search, like Sync's
+		// leapfrog probes.
+		if c.w.wakeOneThief() {
+			t0 := nowNS()
+			runtime.Gosched()
+			c.w.addSearch(nowNS() - t0)
+		}
 	} else {
 		// Still appended below, so that every Sync pairs with exactly one
 		// Spawn (WOOL's SYNC joins the youngest spawn, inlined or not);

@@ -40,21 +40,24 @@ func (r *Runtime) helperLoop(stop <-chan struct{}) {
 // obtain and record the grant, and apply it to the workers.
 func (r *Runtime) quantum() {
 	granted := r.mgr.Current()
-	snap := r.ctrl.Sample(granted, int64(r.cfg.Quantum), nowNS()-r.startNS, r.readWorker)
+	// One clock read stamps the snapshot, the decision and the traced
+	// explanation, so a quantum's records carry the same time.
+	now := nowNS() - r.startNS
+	snap := r.ctrl.Sample(granted, int64(r.cfg.Quantum), now, r.readWorker)
 	// The marks just read belong to the window that closed; open the next
 	// one — workers reset their hwm on their first spawn under the new
 	// sequence number.
 	r.qseq.Add(1)
 	desired := r.ctrl.Step(snap)
 	next, changed := r.mgr.Grant(desired)
-	d := r.ctrl.Record(nowNS()-r.startNS, next.Size())
+	d := r.ctrl.Record(now, next.Size())
 	r.quanta.Add(1)
 	r.allotSize.Store(int64(next.Size()))
 	if r.cfg.OnQuantum != nil {
 		r.cfg.OnQuantum(d)
 	}
 	if r.cfg.Tracer != nil {
-		r.cfg.Tracer.Quantum(r.helperRing, nowNS()-r.startNS, obs.NoWorker, "", r.ctrl.Explain(snap))
+		r.cfg.Tracer.Quantum(r.helperRing, now, obs.NoWorker, "", r.ctrl.Explain(snap))
 	}
 	if !changed {
 		return

@@ -36,6 +36,11 @@ import (
 // to a worker that has not blocked yet is consumed by its next park
 // immediately — a wake can be early, never lost.
 //
+// A waker that delivers a token for deque work (a spawn's push, or wake
+// chaining after a steal) yields once: Go queues the readied thief in the
+// waker's own P (runnext), where it would wait until the waker blocks.
+// Submit's wakes and the shard-pickup chaining do not yield.
+//
 // Spurious wakeups are benign by construction: every wake path returns
 // to the top of the worker loop, which re-examines state, own queue,
 // victims, and the injection shards before parking again.

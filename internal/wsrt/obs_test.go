@@ -119,7 +119,7 @@ func TestRuntimeTracerAndMetrics(t *testing.T) {
 
 // TestTracedExplanationsMatchDecisions holds the estimator trace to the
 // decision log: a traced run records one explanation per logged quantum,
-// and each carries that quantum's raw and filtered desire and grant.
+// and each carries that quantum's time, raw and filtered desire and grant.
 func TestTracedExplanationsMatchDecisions(t *testing.T) {
 	tracer := obs.NewTracer(obs.WithTicksPerMicro(1000))
 	rt, err := New(Config{
@@ -142,7 +142,7 @@ func TestTracedExplanationsMatchDecisions(t *testing.T) {
 	}
 	for i, d := range ds {
 		ex := exs[i]
-		if ex.RawDesire != d.Raw || ex.FilteredDesire != d.Desired || ex.Granted != d.Granted {
+		if ex.Time != d.Time || ex.RawDesire != d.Raw || ex.FilteredDesire != d.Desired || ex.Granted != d.Granted {
 			t.Fatalf("quantum %d: explanation %+v, decision %+v", i, ex, d)
 		}
 	}

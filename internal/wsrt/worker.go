@@ -352,9 +352,11 @@ func (w *worker) stealProbe() *rtTask {
 			atomic.AddInt64(&w.stats.Steals, 1)
 			w.emit(obs.KindSteal, int32(v), 0)
 			// Wake chaining: the victim still has work, so pass the signal
-			// on to its next idle thief before running the stolen task.
-			if vw.deque.Len() > 0 {
-				vw.wakeOneThief()
+			// on to its next idle thief before running the stolen task, and
+			// yield once so that thief, queued on this P, starts now. The
+			// yield falls inside the search time the caller charges.
+			if vw.deque.Len() > 0 && vw.wakeOneThief() {
+				runtime.Gosched()
 			}
 			return t
 		}

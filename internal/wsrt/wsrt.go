@@ -120,9 +120,11 @@ type WorkerReport struct {
 	// Each span lands in exactly one task, so UsefulNS + SearchNS + IdleNS
 	// never exceeds the worker's wall time.
 	UsefulNS int64
-	// SearchNS is time actively spent looking for work: steal probes and
-	// the bounded pre-park spin. Parked time is not search time — that
-	// split is what lets the estimators see true wasted effort.
+	// SearchNS is time actively spent looking for work: steal probes, the
+	// bounded pre-park spin, the leapfrog's probes and sleeps, and the
+	// yield that hands the P to a thief a spawn just woke. Parked time is
+	// not search time — that split is what lets the estimators see true
+	// wasted effort.
 	SearchNS int64
 	// IdleNS is time spent blocked in the event-driven park (no work
 	// anywhere, waiting for a wakeup). The estimation helper charges it to
